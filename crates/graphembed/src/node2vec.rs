@@ -147,4 +147,22 @@ mod tests {
         assert_eq!(n2v.dim(), 12);
         assert_eq!(n2v.embedding(0).len(), 12);
     }
+
+    /// Degenerate configs train to well-shaped (if uninformative) tables.
+    #[test]
+    fn degenerate_inputs_do_not_panic() {
+        let empty = Node2Vec::train(&AdjGraph::from_edges(0, &[]), &Node2VecConfig::default());
+        assert_eq!(empty.num_nodes(), 0);
+
+        let g = AdjGraph::from_edges(4, &[(0, 1), (1, 2), (2, 3)]);
+        let zero_dim = Node2Vec::train(&g, &Node2VecConfig { dim: 0, ..Default::default() });
+        assert_eq!(zero_dim.num_nodes(), 4);
+        assert!(zero_dim.embedding(3).is_empty());
+        assert_eq!(zero_dim.cosine(0, 1), 0.0);
+
+        let cfg = Node2VecConfig { dim: 4, window: 0, ..Default::default() };
+        let no_window = Node2Vec::train(&g, &cfg);
+        assert_eq!(no_window.num_nodes(), 4);
+        assert_eq!(no_window.embedding(2).len(), 4);
+    }
 }
