@@ -1,6 +1,6 @@
 //! Criterion microbenchmarks for the core computational kernels:
-//! encoder forward/backward, WSC losses, node2vec walks, Dijkstra/Yen,
-//! HMM map matching, and GBDT fitting.
+//! encoder forward/backward, WSC losses, node2vec walks and skip-gram,
+//! Dijkstra/Yen, HMM map matching, and GBDT fitting.
 
 use std::sync::Arc;
 
@@ -13,7 +13,10 @@ use wsccl_core::encoder::{EncoderConfig, TemporalPathEncoder};
 use wsccl_core::wsc::WscModel;
 use wsccl_datagen::{CityDataset, DatasetConfig};
 use wsccl_downstream::{EtaRegression, GbConfig, Task};
+use wsccl_graphembed::skipgram::SkipGram;
+use wsccl_graphembed::temporal::build_temporal_graph;
 use wsccl_graphembed::walks::AdjGraph;
+use wsccl_graphembed::Node2VecConfig;
 use wsccl_mapmatch::{map_match, EdgeSpatialIndex, MatchConfig};
 use wsccl_roadnet::shortest::dijkstra;
 use wsccl_roadnet::yen::k_shortest_paths;
@@ -90,6 +93,32 @@ fn bench_node2vec_walks(c: &mut Criterion) {
     });
 }
 
+/// One skip-gram epoch over the temporal graph's walk corpus: the bulk of
+/// building the frozen encoder tables.
+fn bench_node2vec_sgns(c: &mut Criterion) {
+    let g = build_temporal_graph();
+    let cfg = Node2VecConfig { dim: 16, ..Default::default() };
+    let mut rng = StdRng::seed_from_u64(8);
+    let walks: Vec<Vec<usize>> = (0..cfg.walks_per_node)
+        .flat_map(|_| (0..g.num_nodes()).collect::<Vec<_>>())
+        .map(|start| g.node2vec_walk(&mut rng, start, cfg.walk_len, cfg.p, cfg.q))
+        .collect();
+    c.bench_function("node2vec_sgns_temporal", |b| {
+        b.iter_batched(
+            || {
+                let mut rng = StdRng::seed_from_u64(9);
+                let model = SkipGram::new(&mut rng, g.num_nodes(), cfg.dim);
+                (rng, model)
+            },
+            |(mut rng, mut model)| {
+                model.epoch(&mut rng, &walks, cfg.window, cfg.negatives, cfg.lr);
+                model
+            },
+            BatchSize::LargeInput,
+        )
+    });
+}
+
 fn bench_map_matching(c: &mut Criterion) {
     let net = CityProfile::Aalborg.generate(4);
     let model = CongestionModel::new(&net, 1.5, 4);
@@ -120,6 +149,6 @@ criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
     targets = bench_encoder, bench_parallel_training, bench_graph_algorithms,
-              bench_node2vec_walks, bench_map_matching, bench_gbdt
+              bench_node2vec_walks, bench_node2vec_sgns, bench_map_matching, bench_gbdt
 }
 criterion_main!(benches);

@@ -4,7 +4,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
-use crate::skipgram::SkipGram;
+use crate::skipgram::{cosine, SkipGram};
 use crate::walks::AdjGraph;
 
 /// node2vec hyperparameters. The paper uses 128-dimensional outputs; the
@@ -46,7 +46,9 @@ impl Default for Node2VecConfig {
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct Node2Vec {
     dim: usize,
-    embeddings: Vec<Vec<f64>>,
+    num_nodes: usize,
+    /// Row-major `num_nodes × dim` table.
+    embeddings: Vec<f64>,
 }
 
 impl Node2Vec {
@@ -60,8 +62,10 @@ impl Node2Vec {
             }
         }
         let mut model = SkipGram::new(&mut rng, graph.num_nodes(), cfg.dim);
-        model.train_walks(&mut rng, &walks, cfg.window, cfg.negatives, cfg.lr, cfg.epochs);
-        Self { dim: cfg.dim, embeddings: model.w_in }
+        for _ in 0..cfg.epochs {
+            model.epoch(&mut rng, &walks, cfg.window, cfg.negatives, cfg.lr);
+        }
+        Self { dim: cfg.dim, num_nodes: graph.num_nodes(), embeddings: model.into_input() }
     }
 
     pub fn dim(&self) -> usize {
@@ -69,25 +73,18 @@ impl Node2Vec {
     }
 
     pub fn num_nodes(&self) -> usize {
-        self.embeddings.len()
+        self.num_nodes
     }
 
     /// Embedding vector of a node.
     pub fn embedding(&self, node: usize) -> &[f64] {
-        &self.embeddings[node]
+        assert!(node < self.num_nodes, "node {node} out of range {}", self.num_nodes);
+        &self.embeddings[node * self.dim..(node + 1) * self.dim]
     }
 
     /// Cosine similarity between two nodes.
     pub fn cosine(&self, a: usize, b: usize) -> f64 {
-        let (va, vb) = (&self.embeddings[a], &self.embeddings[b]);
-        let dot: f64 = va.iter().zip(vb).map(|(x, y)| x * y).sum();
-        let na: f64 = va.iter().map(|x| x * x).sum::<f64>().sqrt();
-        let nb: f64 = vb.iter().map(|x| x * x).sum::<f64>().sqrt();
-        if na < 1e-12 || nb < 1e-12 {
-            0.0
-        } else {
-            dot / (na * nb)
-        }
+        cosine(self.embedding(a), self.embedding(b))
     }
 }
 

@@ -45,7 +45,8 @@ impl AdjGraph {
         self.adj[a].binary_search(&b).is_ok()
     }
 
-    /// One biased node2vec walk of length `len` starting at `start`.
+    /// One biased node2vec walk of at most `len` nodes starting at `start`
+    /// (fewer when it reaches a node without neighbors; empty when `len` is 0).
     ///
     /// Return-parameter `p` discourages (>1) or encourages (<1) revisiting the
     /// previous node; in-out parameter `q` interpolates BFS (q>1) vs DFS (q<1).
@@ -57,6 +58,9 @@ impl AdjGraph {
         p: f64,
         q: f64,
     ) -> Vec<usize> {
+        if len == 0 {
+            return Vec::new();
+        }
         let mut walk = Vec::with_capacity(len);
         walk.push(start);
         if self.adj[start].is_empty() {
@@ -132,6 +136,15 @@ mod tests {
         let g = AdjGraph::from_edges(3, &[(0, 1)]);
         let mut rng = StdRng::seed_from_u64(2);
         assert_eq!(g.node2vec_walk(&mut rng, 2, 10, 1.0, 1.0), vec![2]);
+    }
+
+    #[test]
+    fn zero_length_walk_is_empty() {
+        let g = path_graph(4);
+        let mut rng = StdRng::seed_from_u64(4);
+        assert!(g.node2vec_walk(&mut rng, 1, 0, 1.0, 1.0).is_empty());
+        assert!(AdjGraph::from_edges(2, &[]).node2vec_walk(&mut rng, 0, 0, 1.0, 1.0).is_empty());
+        assert_eq!(g.node2vec_walk(&mut rng, 1, 1, 1.0, 1.0), vec![1]);
     }
 
     #[test]
