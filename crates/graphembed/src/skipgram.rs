@@ -5,7 +5,7 @@
 //!
 //! Both tables are flat row-major `vocab × dim` buffers. The trained tables
 //! are a pure function of the seed because every update keeps one order
-//! (DESIGN.md §2): each dot product is a sequential left-to-right sum, each
+//! (DESIGN.md §8.2): each dot product is a sequential left-to-right sum, each
 //! update is `lr * g * x` evaluated left to right, and a pair applies its
 //! positive term, then its negatives in draw order, then the `w_in` update.
 
@@ -32,7 +32,7 @@ fn sigmoid(x: f64) -> f64 {
 }
 
 /// Cosine similarity of two vectors; 0 when either is (near) zero.
-pub fn cosine(va: &[f64], vb: &[f64]) -> f64 {
+pub(crate) fn cosine(va: &[f64], vb: &[f64]) -> f64 {
     let dot: f64 = va.iter().zip(vb).map(|(x, y)| x * y).sum();
     let na: f64 = va.iter().map(|x| x * x).sum::<f64>().sqrt();
     let nb: f64 = vb.iter().map(|x| x * x).sum::<f64>().sqrt();
@@ -92,18 +92,8 @@ impl SkipGram {
         self.dim
     }
 
-    pub fn vocab(&self) -> usize {
-        self.vocab
-    }
-
-    /// Input embedding of a node.
-    pub fn input(&self, node: usize) -> &[f64] {
-        assert!(node < self.vocab, "node {node} out of range {}", self.vocab);
-        &self.w_in[node * self.dim..(node + 1) * self.dim]
-    }
-
     /// The row-major `vocab × dim` input table.
-    pub fn into_input(self) -> Vec<f64> {
+    pub(crate) fn into_input(self) -> Vec<f64> {
         self.w_in
     }
 
@@ -219,9 +209,9 @@ impl SkipGram {
             for (i, &center) in walk.iter().enumerate() {
                 let lo = i.saturating_sub(window);
                 let hi = (i + window + 1).min(walk.len());
-                for j in lo..hi {
+                for (j, &context) in walk.iter().enumerate().take(hi).skip(lo) {
                     if j != i {
-                        total += self.pair::<LOSS>(rng, center, walk[j], negatives, lr);
+                        total += self.pair::<LOSS>(rng, center, context, negatives, lr);
                         pairs += 1;
                     }
                 }
@@ -266,8 +256,9 @@ mod tests {
         }
         model.train_walks(&mut rng, &walks, 2, 4, 0.05, 15);
         // Within-cluster similarity should exceed cross-cluster similarity.
-        let within = cosine(model.input(0), model.input(1));
-        let cross = cosine(model.input(0), model.input(6));
+        let input = |v: usize| &model.w_in[v * 8..(v + 1) * 8];
+        let within = cosine(input(0), input(1));
+        let cross = cosine(input(0), input(6));
         assert!(within > cross + 0.2, "within {within:.3} vs cross {cross:.3}");
     }
 
