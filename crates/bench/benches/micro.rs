@@ -100,7 +100,7 @@ fn bench_node2vec_sgns(c: &mut Criterion) {
     let cfg = Node2VecConfig { dim: 16, ..Default::default() };
     let mut rng = StdRng::seed_from_u64(8);
     let walks: Vec<Vec<usize>> = (0..cfg.walks_per_node)
-        .flat_map(|_| (0..g.num_nodes()).collect::<Vec<_>>())
+        .flat_map(|_| 0..g.num_nodes())
         .map(|start| g.node2vec_walk(&mut rng, start, cfg.walk_len, cfg.p, cfg.q))
         .collect();
     c.bench_function("node2vec_sgns_temporal", |b| {
