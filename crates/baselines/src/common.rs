@@ -1,7 +1,7 @@
 //! Shared baseline infrastructure: raw edge featurization, time features,
 //! and the closure-based representer wrapper.
 
-use parking_lot::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 use wsccl_core::PathRepresenter;
 use wsccl_roadnet::{EdgeId, Path, RoadNetwork, RoadType};
@@ -89,7 +89,7 @@ impl PathRepresenter for FnRepresenter {
     }
 
     fn represent(&self, net: &RoadNetwork, path: &Path, departure: SimTime) -> Vec<f64> {
-        let v = (self.f.lock())(net, path, departure);
+        let v = (self.f.lock().unwrap_or_else(PoisonError::into_inner))(net, path, departure);
         debug_assert_eq!(v.len(), self.dim, "representer '{}' produced wrong width", self.name);
         v
     }

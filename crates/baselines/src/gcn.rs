@@ -9,6 +9,8 @@
 //! generic representation, so — like the paper — they only participate in the
 //! travel-time task, via [`crate::common::TravelTimePredictor`].
 
+use std::sync::{Mutex, PoisonError};
+
 use rand::rngs::StdRng;
 use rand::{seq::SliceRandom, SeedableRng};
 
@@ -223,21 +225,21 @@ impl Trainable for GcnTrainable<'_> {
 }
 
 /// Thread-safe predictor wrapper.
-pub struct GcnTtePredictor(parking_lot::Mutex<GcnPredictor>);
+pub struct GcnTtePredictor(Mutex<GcnPredictor>);
 
 impl GcnTtePredictor {
     pub fn new(inner: GcnPredictor) -> Self {
-        Self(parking_lot::Mutex::new(inner))
+        Self(Mutex::new(inner))
     }
 }
 
 impl TravelTimePredictor for GcnTtePredictor {
     fn predict(&self, net: &RoadNetwork, path: &Path, departure: SimTime) -> f64 {
-        self.0.lock().predict_time(net, path, departure)
+        self.0.lock().unwrap_or_else(PoisonError::into_inner).predict_time(net, path, departure)
     }
 
     fn name(&self) -> &str {
-        self.0.lock().name
+        self.0.lock().unwrap_or_else(PoisonError::into_inner).name
     }
 }
 

@@ -505,12 +505,12 @@ fn main() {
     let workers = host_cores.min(ds.tte.len()).max(1);
     let chunk = ds.tte.len().div_ceil(workers);
     let t = Instant::now();
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         let handles: Vec<_> = ds
             .tte
             .chunks(chunk)
             .map(|c| {
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     for s in c {
                         std::hint::black_box(rep.represent(net, &s.path, s.departure));
                     }
@@ -520,8 +520,7 @@ fn main() {
         for h in handles {
             h.join().expect("embed worker");
         }
-    })
-    .expect("embed scope");
+    });
     let parallel_ms = t.elapsed().as_secs_f64() * 1000.0;
     println!(
         "eval_embed {} paths: serial {serial_ms:.1} ms, parallel({workers}) {parallel_ms:.1} ms",

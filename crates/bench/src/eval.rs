@@ -30,18 +30,17 @@ pub fn par_map<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec
         return items.iter().map(f).collect();
     }
     let chunk = items.len().div_ceil(workers);
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         let handles: Vec<_> = items
             .chunks(chunk)
             .map(|c| {
                 let f = &f;
-                scope.spawn(move |_| c.iter().map(f).collect::<Vec<R>>())
+                scope.spawn(move || c.iter().map(f).collect::<Vec<R>>())
             })
             .collect();
         // Joining in spawn order concatenates chunks back in input order.
         handles.into_iter().flat_map(|h| h.join().expect("eval worker panicked")).collect()
     })
-    .expect("eval scope")
 }
 
 /// Fixed split seed so every method sees the same train/test partition.

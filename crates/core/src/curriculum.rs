@@ -60,18 +60,17 @@ pub fn difficulty_scores(
     // Pre-embed every sample under every expert. Embedding is lock-free and
     // read-only, so each expert's pass runs on its own thread; collecting the
     // joins in expert order keeps the output deterministic.
-    let reprs: Vec<Vec<Vec<f64>>> = crossbeam::thread::scope(|scope| {
+    let reprs: Vec<Vec<Vec<f64>>> = std::thread::scope(|scope| {
         let handles: Vec<_> = experts
             .iter()
             .map(|expert| {
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     data.iter().map(|s| expert.embed(&s.path, s.departure)).collect::<Vec<_>>()
                 })
             })
             .collect();
         handles.into_iter().map(|h| h.join().expect("embed thread")).collect()
-    })
-    .expect("difficulty scope");
+    });
     for (i, &own) in membership.iter().enumerate() {
         let own_repr = &reprs[own][i];
         let mut s = 0.0;
@@ -164,7 +163,7 @@ pub fn train_wsccl_with_strategy_observed(
             }
             // Train experts in parallel: each on its own meta-set.
             let expert_cfg = cfg.clone();
-            let experts: Vec<WscModel> = crossbeam::thread::scope(|scope| {
+            let experts: Vec<WscModel> = std::thread::scope(|scope| {
                 let handles: Vec<_> = sets
                     .iter()
                     .enumerate()
@@ -173,7 +172,7 @@ pub fn train_wsccl_with_strategy_observed(
                         let expert_cfg = expert_cfg.clone();
                         let subset: Vec<TemporalPathSample> =
                             set.iter().map(|&i| data[i].clone()).collect();
-                        scope.spawn(move |_| {
+                        scope.spawn(move || {
                             let mut expert = WscModel::new(
                                 encoder,
                                 expert_cfg.clone(),
@@ -185,8 +184,7 @@ pub fn train_wsccl_with_strategy_observed(
                     })
                     .collect();
                 handles.into_iter().map(|h| h.join().expect("expert thread")).collect()
-            })
-            .expect("expert training scope");
+            });
 
             let scores = difficulty_scores(&experts, data, &membership);
             curriculum_stages(&scores, sets.len(), &mut rng)

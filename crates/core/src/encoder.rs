@@ -211,6 +211,12 @@ impl TemporalPathEncoder {
         &self.cfg
     }
 
+    /// Edges of the road network the frozen tables were built over; every
+    /// embedded path's `EdgeId`s must be below this.
+    pub fn num_edges(&self) -> usize {
+        self.feat.len()
+    }
+
     /// TPR dimensionality (`d_h`).
     pub fn out_dim(&self) -> usize {
         self.cfg.hidden

@@ -16,9 +16,8 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
-use parking_lot::Mutex;
 use wsccl_roadnet::{EdgeId, Path};
 
 /// FNV-1a over the edge-id sequence. Stable across runs (no randomized
@@ -185,7 +184,7 @@ impl EmbeddingCache {
             self.misses.fetch_add(1, Ordering::Relaxed);
             return None;
         }
-        let mut shard = self.shard_of(key).lock();
+        let mut shard = self.shard_of(key).lock().unwrap_or_else(PoisonError::into_inner);
         if let Some(&idx) = shard.map.get(key) {
             if shard.nodes[idx as usize].edges.as_ref() == path.edges() {
                 shard.touch(idx);
@@ -215,7 +214,7 @@ impl EmbeddingCache {
         if self.shard_capacity == 0 || epoch != self.epoch.load(Ordering::Acquire) {
             return false;
         }
-        let mut shard = self.shard_of(&key).lock();
+        let mut shard = self.shard_of(&key).lock().unwrap_or_else(PoisonError::into_inner);
         if let Some(&idx) = shard.map.get(&key) {
             // Refresh, or overwrite the loser of a hash collision.
             let node = &mut shard.nodes[idx as usize];
@@ -256,7 +255,7 @@ impl EmbeddingCache {
     pub fn clear(&self) {
         self.epoch.fetch_add(1, Ordering::AcqRel);
         for shard in self.shards.iter() {
-            let mut s = shard.lock();
+            let mut s = shard.lock().unwrap_or_else(PoisonError::into_inner);
             s.map.clear();
             s.nodes.clear();
             s.free.clear();
@@ -266,7 +265,7 @@ impl EmbeddingCache {
     }
 
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().map.len()).sum()
+        self.shards.iter().map(|s| s.lock().unwrap_or_else(PoisonError::into_inner).map.len()).sum()
     }
 
     pub fn is_empty(&self) -> bool {

@@ -1,11 +1,24 @@
-//! The serving loop: a dedicated thread running a [`localexec`] executor
-//! with two tasks — the request batcher and (optionally) a checkpoint
-//! watcher for hot reload.
+//! The serving loop: one dedicated thread that owns the model, cache and
+//! counters and runs a plain blocking loop — wait for a request (or the
+//! checkpoint watcher's next poll tick), serve a batch, tick the watcher.
+//!
+//! # Queue and replies
+//!
+//! Clients push requests onto a [`Queue`] (a `VecDeque` under a `Mutex`,
+//! with a `Condvar` the serve thread parks on) and wait on a per-request
+//! [`Slot`] (one value under a `Mutex` + `Condvar`). A reply slot whose
+//! sender is dropped unfilled answers [`ServeError::Closed`]. When the serve
+//! thread exits, normally or by unwinding, the queue is closed and every
+//! request still in it, or pushed later, is dropped — so a call made after
+//! shutdown returns `Closed` instead of waiting forever. `std::sync::mpsc`
+//! is not used: its receive spins before parking, which costs the other
+//! side of the round trip its time slice when client and server share one
+//! CPU.
 //!
 //! # Batching
 //!
-//! The batcher awaits the first queued request, then drains up to
-//! `max_batch - 1` more without waiting (natural batching: under load the
+//! The loop waits for the first queued request, then drains up to
+//! `max_batch` items without waiting (natural batching: under load the
 //! queue is never empty, so batches fill; at low load requests are served
 //! solo with no added latency — there is no artificial batch timer). Cache
 //! misses in a batch go through one
@@ -17,17 +30,17 @@
 //!
 //! The model lives in an `Arc<TrainedRepresenter>`. Reload (from a watched
 //! [`EngineCheckpoint`] file or an explicit [`Client::reload`]) builds the
-//! replacement off the old Arc's shared encoder tables, then atomically
-//! swaps the Arc and clears the cache. In-flight requests are never dropped:
-//! they sit in the queue during the swap and are served by the new model.
-//! The cache's epoch fence guarantees a batch computed against the old model
-//! can never repopulate the cache after the swap (see
-//! [`EmbeddingCache::insert`]).
+//! replacement off the old Arc's shared encoder tables, then swaps the Arc
+//! and clears the cache. In-flight requests are never dropped: they sit in
+//! the queue during the swap and are served by the new model. The watcher
+//! ticks between batches whenever its poll interval has elapsed, so a queue
+//! that never empties cannot starve reloads. The cache's epoch fence
+//! guarantees a batch computed against the old model can never repopulate
+//! the cache after the swap (see [`EmbeddingCache::insert`]).
 
-use std::cell::RefCell;
+use std::collections::VecDeque;
 use std::path::PathBuf as FsPathBuf;
-use std::rc::Rc;
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant, SystemTime};
 
 use wsccl_core::encoder::BatchScratch;
@@ -39,7 +52,6 @@ use wsccl_roadnet::Path;
 use wsccl_traffic::SimTime;
 
 use crate::cache::{CacheStats, EmbeddingCache};
-use crate::channel::{mpsc, oneshot, OneSender, Receiver, Sender};
 
 /// Serving configuration; `Default` is tuned for one core.
 #[derive(Clone, Debug)]
@@ -77,6 +89,8 @@ pub enum ServeError {
     NoIndex,
     /// Empty paths have no embedding.
     EmptyPath,
+    /// The path names an edge the served model's road network does not have.
+    UnknownEdge,
 }
 
 impl std::fmt::Display for ServeError {
@@ -86,6 +100,7 @@ impl std::fmt::Display for ServeError {
             ServeError::NoEtaHead => write!(f, "no ETA head installed"),
             ServeError::NoIndex => write!(f, "no vector index installed"),
             ServeError::EmptyPath => write!(f, "empty path"),
+            ServeError::UnknownEdge => write!(f, "path has an edge outside the road network"),
         }
     }
 }
@@ -111,12 +126,74 @@ pub struct ServeStats {
     pub cache: CacheStats,
 }
 
+enum SlotState<T> {
+    Empty,
+    Full(T),
+    /// The reply was dropped unfilled.
+    Closed,
+}
+
+/// One-value reply slot: the serve thread fills it, the calling client
+/// thread parks on the condvar until it is filled.
+struct Slot<T> {
+    state: Mutex<SlotState<T>>,
+    filled: Condvar,
+}
+
+impl<T> Slot<T> {
+    fn fill(&self, value: SlotState<T>) {
+        *self.state.lock().unwrap_or_else(PoisonError::into_inner) = value;
+        self.filled.notify_one();
+    }
+
+    fn wait(&self) -> Result<T, ServeError> {
+        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        loop {
+            match std::mem::replace(&mut *state, SlotState::Empty) {
+                SlotState::Full(v) => return Ok(v),
+                SlotState::Closed => return Err(ServeError::Closed),
+                SlotState::Empty => {
+                    state = self.filled.wait(state).unwrap_or_else(PoisonError::into_inner)
+                }
+            }
+        }
+    }
+}
+
+/// The serve thread's end of a [`Slot`]. Dropping it unsent answers the
+/// waiting client with [`ServeError::Closed`].
+struct Reply<T> {
+    slot: Arc<Slot<T>>,
+    sent: bool,
+}
+
+/// A fresh reply slot and the serve thread's end of it.
+fn reply<T>() -> (Reply<T>, Arc<Slot<T>>) {
+    let slot = Arc::new(Slot { state: Mutex::new(SlotState::Empty), filled: Condvar::new() });
+    (Reply { slot: Arc::clone(&slot), sent: false }, slot)
+}
+
+impl<T> Reply<T> {
+    fn send(mut self, value: T) {
+        self.slot.fill(SlotState::Full(value));
+        self.sent = true;
+    }
+}
+
+impl<T> Drop for Reply<T> {
+    fn drop(&mut self) {
+        if !self.sent {
+            self.slot.fill(SlotState::Closed);
+        }
+    }
+}
+
 enum Request {
     Embed {
         path: Path,
         departure: SimTime,
         enq: Instant,
-        resp: OneSender<Result<Arc<Vec<f64>>, ServeError>>,
+        resp: Reply<Result<Arc<Vec<f64>>, ServeError>>,
     },
     /// One round trip for several queries (e.g. the k candidate routes of a
     /// ranking request): one queue wake and one reply wake regardless of
@@ -124,13 +201,13 @@ enum Request {
     EmbedMany {
         queries: Vec<(Path, SimTime)>,
         enq: Instant,
-        resp: OneSender<Vec<Result<Arc<Vec<f64>>, ServeError>>>,
+        resp: Reply<Vec<Result<Arc<Vec<f64>>, ServeError>>>,
     },
     Eta {
         path: Path,
         departure: SimTime,
         enq: Instant,
-        resp: OneSender<Result<f64, ServeError>>,
+        resp: Reply<Result<f64, ServeError>>,
     },
     /// Top-k similar trips: the query path's embedding rides the same fused
     /// forward pass / cache as Embed and Eta; the index search runs on the
@@ -140,36 +217,125 @@ enum Request {
         departure: SimTime,
         k: usize,
         enq: Instant,
-        resp: OneSender<Result<Vec<Neighbor>, ServeError>>,
+        resp: Reply<Result<Vec<Neighbor>, ServeError>>,
     },
     SetEtaHead {
         head: Box<GbRegressor>,
-        resp: OneSender<()>,
+        resp: Reply<()>,
     },
     SetIndex {
         index: Arc<dyn VectorIndex>,
-        resp: OneSender<()>,
+        resp: Reply<()>,
     },
     Reload {
         rep: Box<TrainedRepresenter>,
-        resp: OneSender<()>,
+        resp: Reply<()>,
     },
     Stats {
-        resp: OneSender<ServeStats>,
+        resp: Reply<ServeStats>,
     },
     Shutdown {
-        resp: OneSender<ServeStats>,
+        resp: Reply<ServeStats>,
     },
+}
+
+/// Embedding items a request contributes toward `max_batch` (control
+/// requests pass through regardless).
+fn request_items(req: &Request) -> usize {
+    match req {
+        Request::EmbedMany { queries, .. } => queries.len().max(1),
+        _ => 1,
+    }
+}
+
+/// Move requests from the front of `items` into `batch` until it holds
+/// `max_items` embedding items (the first request is always taken).
+fn take_batch(items: &mut VecDeque<Request>, max_items: usize, batch: &mut Vec<Request>) {
+    let mut size = 0;
+    while size < max_items {
+        let Some(r) = items.pop_front() else { break };
+        size += request_items(&r);
+        batch.push(r);
+    }
+}
+
+#[derive(Default)]
+struct QueueState {
+    items: VecDeque<Request>,
+    /// Set once the serve thread has stopped taking requests.
+    closed: bool,
+}
+
+/// The request queue between client threads and the serve thread.
+#[derive(Default)]
+struct Queue {
+    state: Mutex<QueueState>,
+    ready: Condvar,
+}
+
+impl Queue {
+    fn lock(&self) -> std::sync::MutexGuard<'_, QueueState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Enqueue `req`; on a closed queue it is dropped, which answers its
+    /// reply slot with `Closed`.
+    fn push(&self, req: Request) {
+        let mut q = self.lock();
+        if q.closed {
+            drop(q);
+            drop(req);
+            return;
+        }
+        q.items.push_back(req);
+        drop(q);
+        self.ready.notify_one();
+    }
+
+    /// Wait until a request is queued or `deadline` passes, then move up to
+    /// `max_items` items into `batch` (nothing on a deadline timeout).
+    fn pop_batch(&self, max_items: usize, deadline: Option<Instant>, batch: &mut Vec<Request>) {
+        let mut q = self.lock();
+        while q.items.is_empty() {
+            q = match deadline {
+                None => self.ready.wait(q).unwrap_or_else(PoisonError::into_inner),
+                Some(d) => {
+                    let left = d.saturating_duration_since(Instant::now());
+                    if left.is_zero() {
+                        return;
+                    }
+                    self.ready.wait_timeout(q, left).unwrap_or_else(PoisonError::into_inner).0
+                }
+            };
+        }
+        take_batch(&mut q.items, max_items, batch);
+    }
+
+    /// Stop accepting requests and hand back everything still queued.
+    fn close(&self) -> VecDeque<Request> {
+        let mut q = self.lock();
+        q.closed = true;
+        std::mem::take(&mut q.items)
+    }
+}
+
+/// Closes the queue when the serve thread exits, by return or by unwinding,
+/// and drops what is left in it, so no client waits on a dead server.
+struct CloseOnExit<'a>(&'a Queue);
+
+impl Drop for CloseOnExit<'_> {
+    fn drop(&mut self) {
+        drop(self.0.close());
+    }
 }
 
 struct State {
     model: Arc<TrainedRepresenter>,
-    eta_head: Option<Arc<GbRegressor>>,
+    eta_head: Option<Box<GbRegressor>>,
     index: Option<Arc<dyn VectorIndex>>,
-    cache: Arc<EmbeddingCache>,
+    cache: EmbeddingCache,
     scratch: BatchScratch,
     stats: ServeStats,
-    shutting_down: bool,
 }
 
 impl State {
@@ -177,17 +343,21 @@ impl State {
         self.model = Arc::new(rep);
         self.stats.reloads += 1;
         wsccl_obs::global().counter("serve.reloads").inc();
-        // Clear *after* the swap: the single-threaded executor runs this
-        // whole section without yielding, so no batch can interleave; the
-        // epoch bump fences any conceptually-older insert regardless.
+        // Clear *after* the swap: the serve thread runs no batch in
+        // between; the epoch bump fences any conceptually-older insert
+        // regardless.
         self.cache.clear();
+    }
+
+    fn stats(&self) -> ServeStats {
+        ServeStats { cache: self.cache.stats(), ..self.stats }
     }
 }
 
 /// A handle to a running server thread. Cloneable request access goes
 /// through [`Server::client`]; dropping the `Server` shuts it down.
 pub struct Server {
-    tx: Sender<Request>,
+    queue: Arc<Queue>,
     handle: Option<std::thread::JoinHandle<()>>,
 }
 
@@ -195,22 +365,23 @@ pub struct Server {
 /// until the server responds.
 #[derive(Clone)]
 pub struct Client {
-    tx: Sender<Request>,
+    queue: Arc<Queue>,
 }
 
 impl Server {
     /// Spawn the serving thread around a trained representer.
     pub fn spawn(rep: TrainedRepresenter, cfg: ServeConfig) -> Server {
-        let (tx, rx) = mpsc::<Request>();
+        let queue = Arc::new(Queue::default());
+        let server_queue = Arc::clone(&queue);
         let handle = std::thread::Builder::new()
             .name("wsccl-serve".into())
-            .spawn(move || run_server(rep, cfg, rx))
+            .spawn(move || run_server(rep, cfg, &server_queue))
             .expect("spawn serve thread");
-        Server { tx, handle: Some(handle) }
+        Server { queue, handle: Some(handle) }
     }
 
     pub fn client(&self) -> Client {
-        Client { tx: self.tx.clone() }
+        Client { queue: Arc::clone(&self.queue) }
     }
 
     /// Drain every queued request, stop the thread, and return final stats.
@@ -221,9 +392,7 @@ impl Server {
     }
 
     fn shutdown_inner(&self) -> ServeStats {
-        let (stx, srx) = oneshot();
-        self.tx.send(Request::Shutdown { resp: stx });
-        srx.recv().unwrap_or_default()
+        self.client().call(|resp| Request::Shutdown { resp }).unwrap_or_default()
     }
 }
 
@@ -237,17 +406,22 @@ impl Drop for Server {
 }
 
 impl Client {
+    /// Queue the request built around a fresh reply slot and wait for it.
+    fn call<T>(&self, request: impl FnOnce(Reply<T>) -> Request) -> Result<T, ServeError> {
+        let (resp, slot) = reply();
+        self.queue.push(request(resp));
+        slot.wait()
+    }
+
     /// Embedding for `path` departing at `departure`; served from the LRU
     /// cache when warm, otherwise computed in the next batch.
     pub fn embed(&self, path: &Path, departure: SimTime) -> Result<Arc<Vec<f64>>, ServeError> {
-        let (rtx, rrx) = oneshot();
-        self.tx.send(Request::Embed {
+        self.call(|resp| Request::Embed {
             path: path.clone(),
             departure,
             enq: Instant::now(),
-            resp: rtx,
-        });
-        rrx.recv().ok_or(ServeError::Closed)?
+            resp,
+        })?
     }
 
     /// Embeddings for several `(path, departure)` queries in one round trip
@@ -255,8 +429,8 @@ impl Client {
     /// candidate paths. The whole group shares one queue wake and one reply
     /// wake, and its cache misses are fused into the same batched forward
     /// pass, so per-embedding overhead is `1/k` of [`Client::embed`]'s.
-    /// Results come back in query order, each `Err(EmptyPath)` only for an
-    /// empty path.
+    /// Results come back in query order; an empty path or one with an
+    /// unknown edge fails only its own slot.
     pub fn embed_many(
         &self,
         queries: &[(&Path, SimTime)],
@@ -264,26 +438,17 @@ impl Client {
         if queries.is_empty() {
             return Ok(Vec::new());
         }
-        let (rtx, rrx) = oneshot();
-        self.tx.send(Request::EmbedMany {
+        self.call(|resp| Request::EmbedMany {
             queries: queries.iter().map(|&(p, t)| (p.clone(), t)).collect(),
             enq: Instant::now(),
-            resp: rtx,
-        });
-        rrx.recv().ok_or(ServeError::Closed)
+            resp,
+        })
     }
 
     /// Estimated travel time (seconds) via the installed ETA head over the
     /// (possibly cached) embedding.
     pub fn eta(&self, path: &Path, departure: SimTime) -> Result<f64, ServeError> {
-        let (rtx, rrx) = oneshot();
-        self.tx.send(Request::Eta {
-            path: path.clone(),
-            departure,
-            enq: Instant::now(),
-            resp: rtx,
-        });
-        rrx.recv().ok_or(ServeError::Closed)?
+        self.call(|resp| Request::Eta { path: path.clone(), departure, enq: Instant::now(), resp })?
     }
 
     /// Top-k most similar stored trips to `(path, departure)` via the
@@ -296,22 +461,18 @@ impl Client {
         departure: SimTime,
         k: usize,
     ) -> Result<Vec<Neighbor>, ServeError> {
-        let (rtx, rrx) = oneshot();
-        self.tx.send(Request::Knn {
+        self.call(|resp| Request::Knn {
             path: path.clone(),
             departure,
             k,
             enq: Instant::now(),
-            resp: rtx,
-        });
-        rrx.recv().ok_or(ServeError::Closed)?
+            resp,
+        })?
     }
 
     /// Install (or replace) the ETA regression head.
     pub fn set_eta_head(&self, head: GbRegressor) -> Result<(), ServeError> {
-        let (rtx, rrx) = oneshot();
-        self.tx.send(Request::SetEtaHead { head: Box::new(head), resp: rtx });
-        rrx.recv().ok_or(ServeError::Closed)
+        self.call(|resp| Request::SetEtaHead { head: Box::new(head), resp })
     }
 
     /// Install (or replace) the similarity-search index backing
@@ -319,129 +480,74 @@ impl Client {
     /// currently served (ids are the caller's business — typically trip
     /// indices into the corpus the index was built from).
     pub fn set_index(&self, index: Arc<dyn VectorIndex>) -> Result<(), ServeError> {
-        let (rtx, rrx) = oneshot();
-        self.tx.send(Request::SetIndex { index, resp: rtx });
-        rrx.recv().ok_or(ServeError::Closed)
+        self.call(|resp| Request::SetIndex { index, resp })
     }
 
     /// Hot-swap the model in-process (the push-style alternative to the
     /// checkpoint watcher). Returns once the swap is visible.
     pub fn reload(&self, rep: TrainedRepresenter) -> Result<(), ServeError> {
-        let (rtx, rrx) = oneshot();
-        self.tx.send(Request::Reload { rep: Box::new(rep), resp: rtx });
-        rrx.recv().ok_or(ServeError::Closed)
+        self.call(|resp| Request::Reload { rep: Box::new(rep), resp })
     }
 
     pub fn stats(&self) -> Result<ServeStats, ServeError> {
-        let (rtx, rrx) = oneshot();
-        self.tx.send(Request::Stats { resp: rtx });
-        rrx.recv().ok_or(ServeError::Closed)
+        self.call(|resp| Request::Stats { resp })
     }
 }
 
-fn run_server(rep: TrainedRepresenter, cfg: ServeConfig, rx: Receiver<Request>) {
-    let state = Rc::new(RefCell::new(State {
+fn run_server(rep: TrainedRepresenter, cfg: ServeConfig, queue: &Queue) {
+    let _close = CloseOnExit(queue);
+    let mut state = State {
         model: Arc::new(rep),
         eta_head: None,
         index: None,
-        cache: Arc::new(EmbeddingCache::new(cfg.cache_capacity, cfg.cache_shards)),
+        cache: EmbeddingCache::new(cfg.cache_capacity, cfg.cache_shards),
         scratch: BatchScratch::default(),
         stats: ServeStats::default(),
-        shutting_down: false,
-    }));
+    };
     let max_batch = cfg.max_batch.max(1);
-
-    let mut exec = localexec::LocalExecutor::new();
-    if let Some(watch) = cfg.watch.clone() {
-        exec.spawn(watch_checkpoint(Rc::clone(&state), watch, cfg.reload_poll));
-    }
-    exec.spawn(request_loop(Rc::clone(&state), rx, max_batch));
-    exec.run();
-}
-
-/// Embedding items a request contributes toward `max_batch` (control
-/// requests pass through regardless).
-fn request_items(req: &Request) -> usize {
-    match req {
-        Request::EmbedMany { queries, .. } => queries.len().max(1),
-        _ => 1,
-    }
-}
-
-async fn request_loop(state: Rc<RefCell<State>>, rx: Receiver<Request>, max_batch: usize) {
+    let mut watcher = cfg.watch.map(|path| Watcher::new(path, cfg.reload_poll));
     let mut batch = Vec::with_capacity(max_batch);
     loop {
-        let Some(first) = rx.recv().await else { break };
-        let mut size = request_items(&first);
-        batch.push(first);
-        while size < max_batch {
-            match rx.try_recv() {
-                Some(r) => {
-                    size += request_items(&r);
-                    batch.push(r);
-                }
-                None => break,
+        queue.pop_batch(max_batch, watcher.as_ref().map(|w| w.next_tick), &mut batch);
+        if let Some(resp) = process_batch(&mut state, &mut batch) {
+            // Drain-on-shutdown: everything enqueued before the queue closes
+            // is still served; nothing is dropped.
+            let mut rest = queue.close();
+            while !rest.is_empty() {
+                take_batch(&mut rest, max_batch, &mut batch);
+                process_batch(&mut state, &mut batch);
             }
+            resp.send(state.stats());
+            return;
         }
-        let shutdown = process_batch(&state, &mut batch);
-        if let Some(resp) = shutdown {
-            // Drain-on-shutdown: everything enqueued before the Shutdown is
-            // still served; nothing is dropped.
-            let mut rest: Vec<Request> = Vec::new();
-            while let Some(r) = rx.try_recv() {
-                rest.push(r);
-            }
-            let mut rest = rest.into_iter();
-            loop {
-                batch.extend(rest.by_ref().take(max_batch));
-                if batch.is_empty() {
-                    break;
-                }
-                process_batch(&state, &mut batch);
-            }
-            let mut st = state.borrow_mut();
-            st.shutting_down = true;
-            let mut stats = st.stats;
-            stats.cache = st.cache.stats();
-            drop(st);
-            resp.send(stats);
-            break;
+        if let Some(w) = &mut watcher {
+            w.tick_if_due(&mut state);
         }
     }
-    state.borrow_mut().shutting_down = true;
 }
 
-/// Handle one batch; returns the shutdown responder if a shutdown was
+/// Handle one batch; returns the shutdown reply if a shutdown was
 /// requested. Control requests (stats/reload/set-head) execute before the
 /// embedding work of the same batch.
-fn process_batch(
-    state: &Rc<RefCell<State>>,
-    batch: &mut Vec<Request>,
-) -> Option<OneSender<ServeStats>> {
+fn process_batch(st: &mut State, batch: &mut Vec<Request>) -> Option<Reply<ServeStats>> {
     let started = Instant::now();
     let mut shutdown = None;
     let mut work: Vec<Request> = Vec::with_capacity(batch.len());
     for req in batch.drain(..) {
         match req {
             Request::SetEtaHead { head, resp } => {
-                state.borrow_mut().eta_head = Some(Arc::from(head));
+                st.eta_head = Some(head);
                 resp.send(());
             }
             Request::SetIndex { index, resp } => {
-                state.borrow_mut().index = Some(index);
+                st.index = Some(index);
                 resp.send(());
             }
             Request::Reload { rep, resp } => {
-                state.borrow_mut().swap_model(*rep);
+                st.swap_model(*rep);
                 resp.send(());
             }
-            Request::Stats { resp } => {
-                let st = state.borrow();
-                let mut stats = st.stats;
-                stats.cache = st.cache.stats();
-                drop(st);
-                resp.send(stats);
-            }
+            Request::Stats { resp } => resp.send(st.stats()),
             Request::Shutdown { resp } => shutdown = Some(resp),
             other => work.push(other),
         }
@@ -450,8 +556,6 @@ fn process_batch(
         return shutdown;
     }
 
-    let mut st = state.borrow_mut();
-    let st = &mut *st;
     let obs = wsccl_obs::global();
     let queue_us = obs.latency_us("serve.queue_us");
     for req in &work {
@@ -470,7 +574,7 @@ fn process_batch(
     // Items are flattened in request order so the reply sweep below walks
     // them with a cursor.
     let epoch = st.cache.epoch();
-    let mut embeddings: Vec<Option<Arc<Vec<f64>>>> = Vec::new();
+    let mut embeddings: Vec<Result<Arc<Vec<f64>>, ServeError>> = Vec::new();
     {
         let mut items: Vec<(&Path, SimTime)> = Vec::with_capacity(work.len());
         for req in &work {
@@ -484,23 +588,26 @@ fn process_batch(
                 _ => unreachable!(),
             }
         }
-        embeddings.resize(items.len(), None);
+        // Paths are checked against the live model before the cache probe:
+        // an out-of-range edge would index past the encoder's tables.
+        let num_edges = st.model.encoder_arc().num_edges();
         let cache_on = st.cache.enabled();
         let mut miss_idx: Vec<usize> = Vec::with_capacity(items.len());
         for (i, &(path, departure)) in items.iter().enumerate() {
-            if path.is_empty() {
-                continue; // answered with EmptyPath below
-            }
-            if !cache_on {
+            embeddings.push(if path.is_empty() {
+                Err(ServeError::EmptyPath)
+            } else if path.edges().iter().any(|e| e.index() >= num_edges) {
+                Err(ServeError::UnknownEdge)
+            } else {
                 // Disabled cache: don't even hash the path.
-                miss_idx.push(i);
-                continue;
-            }
-            let key = EmbeddingCache::key(path, departure);
-            match st.cache.get(&key, path) {
-                Some(v) => embeddings[i] = Some(v),
-                None => miss_idx.push(i),
-            }
+                let hit = cache_on
+                    .then(|| st.cache.get(&EmbeddingCache::key(path, departure), path))
+                    .flatten();
+                hit.ok_or_else(|| {
+                    miss_idx.push(i);
+                    ServeError::Closed // placeholder until the fused pass fills it
+                })
+            });
         }
         if !miss_idx.is_empty() {
             let queries: Vec<(&Path, SimTime)> = miss_idx.iter().map(|&i| items[i]).collect();
@@ -521,7 +628,7 @@ fn process_batch(
                         epoch,
                     );
                 }
-                embeddings[i] = Some(emb);
+                embeddings[i] = Ok(emb);
             }
         }
         st.stats.served += items.len() as u64;
@@ -530,37 +637,23 @@ fn process_batch(
     let mut results = embeddings.into_iter();
     for req in work {
         match req {
-            Request::Embed { resp, .. } => {
-                resp.send(
-                    results.next().expect("one result per item").ok_or(ServeError::EmptyPath),
-                );
-            }
             Request::EmbedMany { queries, resp, .. } => {
-                resp.send(
-                    results
-                        .by_ref()
-                        .take(queries.len())
-                        .map(|e| e.ok_or(ServeError::EmptyPath))
-                        .collect(),
-                );
+                resp.send(results.by_ref().take(queries.len()).collect())
             }
+            Request::Embed { resp, .. } => resp.send(results.next().expect("one per item")),
             Request::Eta { resp, .. } => {
-                match (&st.eta_head, results.next().expect("one result per item")) {
-                    (_, None) => resp.send(Err(ServeError::EmptyPath)),
-                    (None, Some(_)) => resp.send(Err(ServeError::NoEtaHead)),
-                    (Some(head), Some(emb)) => resp.send(Ok(head.predict(&emb))),
-                }
+                resp.send(results.next().expect("one per item").and_then(|emb| {
+                    let head = st.eta_head.as_ref().ok_or(ServeError::NoEtaHead)?;
+                    Ok(head.predict(&emb))
+                }))
             }
             Request::Knn { k, resp, .. } => {
-                match (&st.index, results.next().expect("one result per item")) {
-                    (_, None) => resp.send(Err(ServeError::EmptyPath)),
-                    (None, Some(_)) => resp.send(Err(ServeError::NoIndex)),
-                    (Some(index), Some(emb)) => {
-                        let q: Vec<f32> = emb.iter().map(|&x| x as f32).collect();
-                        st.stats.knn_served += 1;
-                        resp.send(Ok(index.knn(&q, k)));
-                    }
-                }
+                resp.send(results.next().expect("one per item").and_then(|emb| {
+                    let index = st.index.as_ref().ok_or(ServeError::NoIndex)?;
+                    let q: Vec<f32> = emb.iter().map(|&x| x as f32).collect();
+                    st.stats.knn_served += 1;
+                    Ok(index.knn(&q, k))
+                }))
             }
             _ => unreachable!(),
         }
@@ -574,45 +667,51 @@ fn checkpoint_fingerprint(path: &FsPathBuf) -> Option<(SystemTime, u64)> {
     Some((meta.modified().ok()?, meta.len()))
 }
 
-/// Poll the watched checkpoint file; on change, wait one tick for the write
-/// to quiesce, then load + validate + swap. A load failure (partial write,
-/// version/config mismatch) is counted and skipped; the old model keeps
-/// serving.
-async fn watch_checkpoint(state: Rc<RefCell<State>>, path: FsPathBuf, poll: Duration) {
-    let mut last_seen = checkpoint_fingerprint(&path);
-    let mut pending = false;
-    loop {
-        localexec::sleep(poll).await;
-        if state.borrow().shutting_down {
-            break;
+/// Polls the watched checkpoint file between batches; on change, waits one
+/// tick for the write to quiesce, then loads + validates + swaps. A load
+/// failure (partial write, version/config mismatch) is counted and skipped;
+/// the old model keeps serving.
+struct Watcher {
+    path: FsPathBuf,
+    poll: Duration,
+    next_tick: Instant,
+    last_seen: Option<(SystemTime, u64)>,
+    /// A change was seen last tick and is waiting out the debounce.
+    pending: bool,
+}
+
+impl Watcher {
+    fn new(path: FsPathBuf, poll: Duration) -> Self {
+        let last_seen = checkpoint_fingerprint(&path);
+        Self { path, poll, next_tick: Instant::now() + poll, last_seen, pending: false }
+    }
+
+    fn tick_if_due(&mut self, state: &mut State) {
+        let now = Instant::now();
+        if now < self.next_tick {
+            return;
         }
-        let cur = checkpoint_fingerprint(&path);
-        if cur != last_seen {
-            last_seen = cur;
-            pending = cur.is_some();
-            continue; // debounce: re-check next tick before loading
+        self.next_tick = now + self.poll;
+        let cur = checkpoint_fingerprint(&self.path);
+        if cur != self.last_seen {
+            self.last_seen = cur;
+            self.pending = cur.is_some();
+            return; // debounce: re-check next tick before loading
         }
-        if !pending {
-            continue;
+        if !std::mem::take(&mut self.pending) {
+            return;
         }
-        pending = false;
-        match try_reload(&state, &path) {
-            Ok(()) => {}
-            Err(err) => {
-                state.borrow_mut().stats.reload_errors += 1;
-                wsccl_obs::global().counter("serve.reload.errors").inc();
-                eprintln!("wsccl-serve: checkpoint reload from {} failed: {err}", path.display());
-            }
+        if let Err(err) = try_reload(state, &self.path) {
+            state.stats.reload_errors += 1;
+            wsccl_obs::global().counter("serve.reload.errors").inc();
+            eprintln!("wsccl-serve: checkpoint reload from {} failed: {err}", self.path.display());
         }
     }
 }
 
-fn try_reload(state: &Rc<RefCell<State>>, path: &FsPathBuf) -> Result<(), String> {
+fn try_reload(state: &mut State, path: &FsPathBuf) -> Result<(), String> {
     let cp = EngineCheckpoint::load(path).map_err(|e| e.to_string())?;
-    let (encoder, name) = {
-        let st = state.borrow();
-        (st.model.encoder_arc(), st.model.name().to_string())
-    };
+    let encoder = state.model.encoder_arc();
     // The swapped-in weights must match the shared frozen encoder tables.
     // Configs are compared structurally (via their canonical JSON); the
     // encoder seed is the operator's contract — see DESIGN.md §12.
@@ -621,7 +720,73 @@ fn try_reload(state: &Rc<RefCell<State>>, path: &FsPathBuf) -> Result<(), String
     if current != incoming {
         return Err("encoder config mismatch; restart to change architecture".into());
     }
+    let name = state.model.name().to_string();
     let rep = TrainedRepresenter::from_parts(encoder, cp.params, cp.weights, name);
-    state.borrow_mut().swap_model(rep);
+    state.swap_model(rep);
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn stats_request() -> (Request, Arc<Slot<ServeStats>>) {
+        let (resp, slot) = reply();
+        (Request::Stats { resp }, slot)
+    }
+
+    #[test]
+    fn queue_delivers_in_order_and_close_answers_the_rest_closed() {
+        let queue = Queue::default();
+        let (a, _) = stats_request();
+        let (b, _) = stats_request();
+        queue.push(a);
+        queue.push(b);
+        let mut batch = Vec::new();
+        queue.pop_batch(1, None, &mut batch);
+        assert_eq!(batch.len(), 1, "max_items bounds the batch");
+        queue.pop_batch(8, None, &mut batch);
+        assert_eq!(batch.len(), 2);
+
+        let (queued, queued_slot) = stats_request();
+        queue.push(queued);
+        assert_eq!(queue.close().len(), 1, "close hands back what is still queued");
+        assert_eq!(queued_slot.wait().map(|s| s.served), Err(ServeError::Closed));
+        let (late, late_slot) = stats_request();
+        queue.push(late);
+        assert_eq!(late_slot.wait().map(|s| s.served), Err(ServeError::Closed));
+    }
+
+    #[test]
+    fn push_wakes_a_parked_pop_and_the_deadline_ends_an_idle_wait() {
+        let queue = Queue::default();
+        let mut batch = Vec::new();
+        let start = Instant::now();
+        queue.pop_batch(4, Some(start + Duration::from_millis(20)), &mut batch);
+        assert!(batch.is_empty() && start.elapsed() >= Duration::from_millis(20));
+
+        // The push lands either before the pop parks or while it is parked;
+        // the pause makes the parked case the likely one, and the pop must
+        // return with the request in both.
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                std::thread::sleep(Duration::from_millis(20));
+                queue.push(stats_request().0);
+            });
+            queue.pop_batch(4, None, &mut batch);
+        });
+        assert_eq!(batch.len(), 1);
+    }
+
+    #[test]
+    fn reply_roundtrip_and_drop_answers_closed() {
+        let (resp, slot) = reply::<u32>();
+        std::thread::scope(|s| {
+            s.spawn(move || resp.send(42));
+            assert_eq!(slot.wait(), Ok(42));
+        });
+        let (resp, slot) = reply::<u32>();
+        drop(resp);
+        assert_eq!(slot.wait(), Err(ServeError::Closed));
+    }
 }

@@ -397,3 +397,155 @@ fn knn_requests_flow_through_installed_index() {
     let stats = server.shutdown();
     assert_eq!(stats.knn_served, 1, "only the post-install search counts");
 }
+
+/// Run `call` on a helper thread and wait at most `secs` for its answer, so
+/// a call that never returns fails the test instead of hanging it.
+fn within<T: Send + 'static>(secs: u64, call: impl FnOnce() -> T + Send + 'static) -> T {
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(call());
+    });
+    rx.recv_timeout(Duration::from_secs(secs)).expect("call did not return in time")
+}
+
+#[test]
+fn calls_after_shutdown_return_closed() {
+    let (ds, model, _enc) = setup(15, 1);
+    let server = Server::spawn(model.into_representer("WSCCL"), ServeConfig::default());
+    let client = server.client();
+    let probe = ds.unlabeled[0].clone();
+    client.embed(&probe.path, probe.departure).expect("served before shutdown");
+    server.shutdown();
+
+    let late = client.clone();
+    let got = within(5, move || late.embed(&probe.path, probe.departure));
+    assert_eq!(got, Err(ServeError::Closed));
+    let late = client.clone();
+    assert_eq!(within(5, move || late.stats().map(|s| s.served)), Err(ServeError::Closed));
+}
+
+#[test]
+fn unknown_edge_is_rejected_and_the_server_keeps_serving() {
+    let (ds, model, _enc) = setup(16, 1);
+    let server = Server::spawn(model.into_representer("WSCCL"), ServeConfig::default());
+    let client = server.client();
+    let probe = ds.unlabeled[0].clone();
+    let before = client.embed(&probe.path, probe.departure).expect("valid embed");
+
+    let n = ds.net.num_edges() as u32;
+    let mut edges = probe.path.edges().to_vec();
+    edges.push(wsccl_roadnet::EdgeId(n));
+    let bad = wsccl_roadnet::Path::new_unchecked(edges);
+    let c = client.clone();
+    let dep = probe.departure;
+    let got = within(5, move || c.embed(&bad, dep));
+    assert_eq!(got, Err(ServeError::UnknownEdge));
+
+    let bad = wsccl_roadnet::Path::new_unchecked(vec![wsccl_roadnet::EdgeId(u32::MAX)]);
+    assert_eq!(client.eta(&bad, dep), Err(ServeError::UnknownEdge));
+    assert_eq!(client.knn(&bad, dep, 3), Err(ServeError::UnknownEdge));
+    let many = client.embed_many(&[(&probe.path, dep), (&bad, dep)]).expect("bulk call");
+    assert_eq!(many[0].as_ref().expect("valid slot served"), &before);
+    assert_eq!(many[1], Err(ServeError::UnknownEdge), "only the bad slot fails");
+
+    let after = client.embed(&probe.path, probe.departure).expect("server still serving");
+    assert_eq!(*after, *before, "the next valid call returns the same bits");
+    server.shutdown();
+}
+
+/// The watcher must tick between batches: four clients submit 2048-path
+/// groups back to back with the cache off and `max_batch` 1, so every
+/// request is a long batch of its own and the queue refills before it can
+/// drain. A watcher that ticked only on an idle queue would load the new
+/// checkpoint hundreds of batches late, or never.
+#[test]
+fn watcher_reloads_while_clients_saturate_the_queue() {
+    let (ds, mut model, enc) = setup(18, 1);
+    let cp0 = model.checkpoint(11);
+    let rep = TrainedRepresenter::from_parts(
+        Arc::clone(&enc),
+        cp0.params.clone(),
+        cp0.weights.clone(),
+        "v1",
+    );
+    let probe = ds.unlabeled[1].clone();
+
+    let dir = std::env::temp_dir().join(format!("wsccl-serve-saturate-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let cp_path = dir.join("model.ckpt");
+    let server = Server::spawn(
+        rep,
+        ServeConfig {
+            max_batch: 1,
+            cache_capacity: 0,
+            watch: Some(cp_path.clone()),
+            reload_poll: Duration::from_millis(1),
+            ..ServeConfig::default()
+        },
+    );
+
+    model.train(&ds.unlabeled, &PopLabeler, 2);
+    let cp1 = model.checkpoint(11);
+    let after = TrainedRepresenter::from_parts(
+        Arc::clone(&enc),
+        cp1.params.clone(),
+        cp1.weights.clone(),
+        "v2",
+    )
+    .embed(&probe.path, probe.departure);
+
+    let stop = AtomicBool::new(false);
+    let dropped = std::sync::atomic::AtomicU64::new(0);
+    // Saturating requests answered so far; each one is a batch of its own.
+    let answered = std::sync::atomic::AtomicU64::new(0);
+    let batches_to_reload = std::thread::scope(|s| {
+        for t in 0..4usize {
+            let client = server.client();
+            let (stop, dropped, answered) = (&stop, &dropped, &answered);
+            let group: Vec<_> = ds
+                .unlabeled
+                .iter()
+                .cycle()
+                .skip(t * 16)
+                .take(2048)
+                .map(|sm| (&sm.path, sm.departure))
+                .collect();
+            s.spawn(move || {
+                while !stop.load(Ordering::Relaxed) {
+                    let served = match client.embed_many(&group) {
+                        Ok(items) => items.iter().filter(|r| r.is_ok()).count(),
+                        Err(_) => 0,
+                    };
+                    dropped.fetch_add((group.len() - served) as u64, Ordering::Relaxed);
+                    answered.fetch_add(1, Ordering::Relaxed);
+                }
+            });
+        }
+        let tmp = dir.join("model.ckpt.tmp");
+        cp1.save(&tmp).unwrap();
+        std::fs::rename(&tmp, &cp_path).unwrap();
+        let published = answered.load(Ordering::Relaxed);
+
+        let client = server.client();
+        let deadline = std::time::Instant::now() + Duration::from_secs(20);
+        let landed = loop {
+            if *client.embed(&probe.path, probe.departure).unwrap() == after {
+                break Some(answered.load(Ordering::Relaxed) - published);
+            }
+            if std::time::Instant::now() >= deadline {
+                break None;
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        };
+        stop.store(true, Ordering::Relaxed);
+        landed
+    });
+
+    let stats = server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+    let batches = batches_to_reload.expect("watcher never reloaded under saturation");
+    assert!(batches <= 100, "reload landed {batches} saturating batches after the publish");
+    assert_eq!(dropped.load(Ordering::Relaxed), 0, "no request may be dropped");
+    assert_eq!(stats.reloads, 1);
+    assert_eq!(stats.reload_errors, 0);
+}
