@@ -234,7 +234,8 @@ fn time_wsccl_backend(
     backend: KernelBackend,
     steps: usize,
 ) -> BackendStep {
-    let name = kernels::force(backend);
+    let forced = kernels::force(backend);
+    let name = forced.name();
     let mut model = warm_pooled_model(enc, ds);
     let mut ms_per_step = f64::INFINITY;
     for _ in 0..5 {
@@ -270,10 +271,11 @@ fn embed_latency(enc: &Arc<TemporalPathEncoder>, ds: &CityDataset) -> EmbedLaten
         t.elapsed().as_secs_f64() * 1e6 / reps as f64
     };
     let f64_tape_us = time_us(&|| rep.represent(&ds.net, &s.path, s.departure));
-    kernels::force(KernelBackend::Scalar);
+    let mut forced = kernels::force(KernelBackend::Scalar);
     let f32_scalar_us = time_us(&|| rep.embed(&s.path, s.departure));
-    kernels::force(KernelBackend::Simd);
+    forced.switch(KernelBackend::Simd);
     let f32_simd_us = time_us(&|| rep.embed(&s.path, s.departure));
+    drop(forced);
     println!(
         "embed 1 path (len {}): f64 tape {f64_tape_us:.1} us, \
          f32 scalar {f32_scalar_us:.1} us, f32 simd {f32_simd_us:.1} us",
@@ -551,7 +553,6 @@ fn main() {
         time_wsccl_backend(&enc, &ds, KernelBackend::Simd, 20),
     ];
     let embed = embed_latency(&enc, &ds);
-    kernels::force(KernelBackend::Auto);
 
     let kernels = KernelReport {
         host_cores,

@@ -532,7 +532,7 @@ mod tests {
         use wsccl_nn::kernels::{self, KernelBackend};
         let (ds, enc) = quick_setup();
         let train = |backend: KernelBackend| {
-            kernels::force(backend);
+            let _forced = kernels::force(backend);
             let mut model = WscModel::new(Arc::clone(&enc), WscclConfig::tiny(), 7);
             model.train(&ds.unlabeled, &PopLabeler, 2);
             let emb: Vec<Vec<f64>> =
@@ -541,7 +541,6 @@ mod tests {
         };
         let (hist_s, emb_s) = train(KernelBackend::Scalar);
         let (hist_v, emb_v) = train(KernelBackend::Simd);
-        kernels::force(KernelBackend::Auto);
         assert_eq!(hist_s, hist_v, "loss history must not depend on the kernel backend");
         assert_eq!(emb_s, emb_v, "embeddings must not depend on the kernel backend");
     }
@@ -558,7 +557,7 @@ mod tests {
         let rep = model.into_representer("WSCCL");
         assert!(rep.has_frozen_path(), "LSTM encoder must freeze to an f32 path");
         for backend in [KernelBackend::Scalar, KernelBackend::Simd] {
-            kernels::force(backend);
+            let _forced = kernels::force(backend);
             for s in ds.unlabeled.iter().take(10) {
                 let oracle = rep.represent(&ds.net, &s.path, s.departure);
                 let fast = rep.embed(&s.path, s.departure);
@@ -572,7 +571,6 @@ mod tests {
                 );
             }
         }
-        kernels::force(KernelBackend::Auto);
     }
 
     #[test]
@@ -590,7 +588,7 @@ mod tests {
         assert!(rep.has_frozen_path(), "LSTM encoder must freeze to an f32 path");
         let mut scratch = crate::encoder::BatchScratch::default();
         for backend in [KernelBackend::Scalar, KernelBackend::Simd] {
-            kernels::force(backend);
+            let _forced = kernels::force(backend);
             for n in 1..=17usize {
                 let queries: Vec<(&Path, SimTime)> = ds
                     .unlabeled
@@ -610,7 +608,6 @@ mod tests {
                 );
             }
         }
-        kernels::force(KernelBackend::Auto);
     }
 
     #[test]

@@ -30,12 +30,12 @@
 //!
 //! The hot compositions the models emit have single-node fused forms:
 //! [`Graph::affine`] (matmul + row bias + activation) and
-//! [`Graph::lstm_cell`] (all four LSTM gates against the pre-packed weight
-//! block, one node per timestep). Both read their weights directly from the
-//! parameter store by [`ParamId`], eliminating the per-step parameter-clone
-//! nodes the composed forms needed. The `*_inplace` elementwise variants
-//! additionally steal the operand's value buffer when the tape's refcount
-//! proves no one else will read it.
+//! [`Graph::lstm_seq`] (a whole LSTM layer over a sequence, one node per
+//! sequence, with BPTT inside its backward). Both read their weights directly
+//! from the parameter store by [`ParamId`], eliminating the per-step
+//! parameter-clone nodes the composed forms needed. The `*_inplace`
+//! elementwise variants additionally steal the operand's value buffer when
+//! the tape's refcount proves no one else will read it.
 //!
 //! Every op's gradient is verified against central finite differences in the
 //! test suite (see `tests/gradcheck.rs` and [`crate::gradcheck`]).
@@ -125,20 +125,40 @@ enum Op {
     SliceRows(NodeId, usize, usize),
     /// Fused `act(x · W + 1·b)` reading `W`/`b` straight from the store.
     Affine { x: NodeId, w: ParamId, b: Option<ParamId>, act: Activation },
-    /// Fused LSTM cell: value is `[h_new | c_new]` (`n × 2h`); `saved` holds
-    /// the post-activation gates `[i | f | g | o | tanh(c_new)]` (`n × 5h`)
-    /// for the closed-form backward.
-    LstmCell {
-        x: NodeId,
-        h: NodeId,
-        c: NodeId,
+    /// Fused LSTM layer over a whole sequence (see [`Graph::lstm_seq`]).
+    /// Its value is empty: the per-step outputs are the `L` [`Op::LstmOut`]
+    /// nodes pushed right after it, and each step's gates and states live in
+    /// the tape's state chunk `chunk` from offset `at` (see
+    /// [`LSTM_STATE_WIDTH`]).
+    LstmSeq {
+        inputs: Vec<NodeId>,
         wx: ParamId,
         wh: ParamId,
         b: ParamId,
         hidden: usize,
-        saved: Tensor,
+        chunk: usize,
+        at: usize,
     },
+    /// One step's hidden state `(n × hidden)` of the `LstmSeq` node it names.
+    /// The sequence node reads this node's adjoint directly, so the backward
+    /// only marks the sequence node as reached.
+    LstmOut(NodeId),
 }
+
+/// Per-step LSTM state kept in the tape's state chunks, in units of
+/// `n × hidden`: the post-activation gate blocks `[i | f | g | o | tanh(c)]`
+/// (`n × 5h`, the layout [`kernels::Kernels::lstm_gates`] writes), then the
+/// hidden state `h` and the cell state `c` (`n × h` each), which the next
+/// step reads as its previous state.
+const LSTM_STATE_WIDTH: usize = 7;
+
+/// Element count of the pooled buffers that hold LSTM state and scratch.
+/// Their natural sizes follow the path length, and the pool buckets by exact
+/// size, so each length would keep its own high-water mark and the heap would
+/// churn through blocks of every size; one fixed size recycles cleanly. A
+/// 64 KiB chunk holds the state of a 36-step sequence at hidden 32; larger
+/// needs round up to a power of two.
+const LSTM_CHUNK: usize = 8192;
 
 /// One part of a fused [`Graph::gather_concat_row`] input row.
 #[derive(Clone, Copy, Debug)]
@@ -183,14 +203,19 @@ pub enum OpKind {
     LayerNormRows,
     SliceRows,
     Affine,
+    /// A whole LSTM layer over one sequence ([`Graph::lstm_seq`]); it keeps
+    /// the name of the per-step cell op it replaced, so the profile key
+    /// `LstmCell` still measures the LSTM.
     LstmCell,
+    /// One step's output of an `LstmCell` sequence node.
+    LstmOut,
 }
 
 impl OpKind {
     /// Every op kind the tape supports, in declaration order. Keep in sync
     /// with [`Op`](self) — `op_kind` fails to compile on a missing arm, and
     /// the gradcheck sweep fails on a missing entry here.
-    pub const ALL: [OpKind; 29] = [
+    pub const ALL: [OpKind; 30] = [
         OpKind::Input,
         OpKind::Param,
         OpKind::MatMul,
@@ -220,6 +245,7 @@ impl OpKind {
         OpKind::SliceRows,
         OpKind::Affine,
         OpKind::LstmCell,
+        OpKind::LstmOut,
     ];
 
     pub fn name(self) -> &'static str {
@@ -253,6 +279,7 @@ impl OpKind {
             OpKind::SliceRows => "SliceRows",
             OpKind::Affine => "Affine",
             OpKind::LstmCell => "LstmCell",
+            OpKind::LstmOut => "LstmOut",
         }
     }
 }
@@ -288,7 +315,8 @@ impl Op {
             Op::LayerNormRows(..) => OpKind::LayerNormRows,
             Op::SliceRows(..) => OpKind::SliceRows,
             Op::Affine { .. } => OpKind::Affine,
-            Op::LstmCell { .. } => OpKind::LstmCell,
+            Op::LstmSeq { .. } => OpKind::LstmCell,
+            Op::LstmOut(_) => OpKind::LstmOut,
         }
     }
 
@@ -304,7 +332,6 @@ impl Op {
                 | Op::LogSumExp(_)
                 | Op::LayerNormRows(_, _)
                 | Op::Affine { .. }
-                | Op::LstmCell { .. }
         )
     }
 }
@@ -339,6 +366,10 @@ pub struct Graph<'p> {
     fwd_mark: Option<Instant>,
     /// Named scalar values recorded via [`Graph::track_scalar`] (loss terms).
     tracked: Vec<(&'static str, f64)>,
+    /// Chunks holding every `lstm_seq` node's per-step state, filled front
+    /// to back, with the elements used of the last one.
+    lstm_state: Vec<Tensor>,
+    lstm_state_used: usize,
 }
 
 // -------------------------------------------------------------- pool helpers
@@ -366,6 +397,15 @@ fn pool_put(pool: &mut Option<&mut TensorPool>, t: Tensor) {
     }
 }
 
+/// A `1 × len'` buffer with stale contents and `len' ≥ len` for LSTM state or
+/// scratch: pooled ones come in [`LSTM_CHUNK`] (or power-of-two) sizes.
+fn take_lstm_buf(pool: &mut Option<&mut TensorPool>, len: usize) -> Tensor {
+    match pool.as_deref_mut() {
+        Some(p) => p.take_raw(1, len.next_power_of_two().max(LSTM_CHUNK)),
+        None => Tensor::zeros(1, len),
+    }
+}
+
 /// Take a node's adjoint buffer out (allocating zeros on first touch) so it
 /// can be written while other nodes are borrowed. Put it back with
 /// `nodes[id].grad = Some(...)`.
@@ -380,8 +420,8 @@ fn take_grad(nodes: &mut [Node], pool: &mut Option<&mut TensorPool>, id: NodeId)
 }
 
 impl Drop for Graph<'_> {
-    /// Return every node value, saved fused-op buffer, and adjoint to the
-    /// pool. Without a pool this is a plain drop.
+    /// Return every node value, adjoint, and slab to the pool. Without a
+    /// pool this is a plain drop.
     fn drop(&mut self) {
         let Some(pool) = self.pool.as_deref_mut() else { return };
         for node in self.nodes.drain(..) {
@@ -389,9 +429,9 @@ impl Drop for Graph<'_> {
             if let Some(g) = node.grad {
                 pool.put(g);
             }
-            if let Op::LstmCell { saved, .. } = node.op {
-                pool.put(saved);
-            }
+        }
+        for chunk in self.lstm_state.drain(..) {
+            pool.put(chunk);
         }
     }
 }
@@ -408,6 +448,8 @@ impl<'p> Graph<'p> {
             profiler: None,
             fwd_mark: None,
             tracked: Vec::new(),
+            lstm_state: Vec::new(),
+            lstm_state_used: 0,
         }
     }
 
@@ -422,6 +464,8 @@ impl<'p> Graph<'p> {
             profiler: None,
             fwd_mark: None,
             tracked: Vec::new(),
+            lstm_state: Vec::new(),
+            lstm_state_used: 0,
         }
     }
 
@@ -1072,46 +1116,106 @@ impl<'p> Graph<'p> {
         self.push(Op::Affine { x, w, b, act }, z, true)
     }
 
-    /// Fused four-gate LSTM cell in one tape node.
+    /// Fused LSTM layer over a whole sequence, in one tape node.
     ///
-    /// `x` is `(n, in_dim)`, `h`/`c` are `(n, hidden)`; `wx`/`wh`/`b` are the
-    /// layer's pre-packed `[i | f | g | o]` gate blocks. The node value is
-    /// `[h_new | c_new]` (`n × 2·hidden`); callers split it with
-    /// [`Graph::slice_cols`]. Post-activation gates are saved inside the node
-    /// for the closed-form backward.
-    #[allow(clippy::too_many_arguments)]
-    pub fn lstm_cell(
+    /// `inputs` are the `L` timestep nodes, each `(n, in_dim)`; `wx`/`wh`/`b`
+    /// are the layer's pre-packed `[i | f | g | o]` gate blocks, and the state
+    /// starts at `h = c = 0`. Returns the `L` per-step hidden states, each an
+    /// `(n, hidden)` node.
+    ///
+    /// Forward stacks the inputs and computes `x·Wx` for every step in one
+    /// multi-row matmul, then runs `h·Wh`, the bias and the gate nonlinearity
+    /// step by step. Each step's gates and states go to the tape's state
+    /// chunks for the backward, which runs BPTT inside the op (see the
+    /// `LstmSeq` arm of [`Graph::backward`]). Buffers sized by `L` come from
+    /// the pool only in [`LSTM_CHUNK`] units, so path-length variety costs no
+    /// extra pool buckets.
+    pub fn lstm_seq(
         &mut self,
-        x: NodeId,
-        h: NodeId,
-        c: NodeId,
+        inputs: &[NodeId],
         wx: ParamId,
         wh: ParamId,
         b: ParamId,
         hidden: usize,
-    ) -> NodeId {
-        let (n, din) = self.val(x).shape();
-        assert_eq!(self.val(h).shape(), (n, hidden), "lstm_cell: h shape mismatch");
-        assert_eq!(self.val(c).shape(), (n, hidden), "lstm_cell: c shape mismatch");
-        assert_eq!(self.params.value(wx).shape(), (din, 4 * hidden), "lstm_cell: wx shape");
-        assert_eq!(self.params.value(wh).shape(), (hidden, 4 * hidden), "lstm_cell: wh shape");
-        assert_eq!(self.params.value(b).shape(), (1, 4 * hidden), "lstm_cell: b shape");
+    ) -> Vec<NodeId> {
+        assert!(!inputs.is_empty(), "lstm_seq over an empty sequence");
+        let (n, din) = self.val(inputs[0]).shape();
+        for &x in inputs {
+            assert_eq!(self.val(x).shape(), (n, din), "lstm_seq: timestep shape mismatch");
+        }
+        assert_eq!(self.params.value(wx).shape(), (din, 4 * hidden), "lstm_seq: wx shape");
+        assert_eq!(self.params.value(wh).shape(), (hidden, 4 * hidden), "lstm_seq: wh shape");
+        assert_eq!(self.params.value(b).shape(), (1, 4 * hidden), "lstm_seq: b shape");
+        let (len, h, g4) = (inputs.len(), hidden, 4 * hidden);
+        let rows = len * n;
+        let step = n * LSTM_STATE_WIDTH * h;
 
-        // z = x·Wx + h·Wh + 1·b, all four gate blocks at once.
-        let mut z = self.alloc_zero(n, 4 * hidden);
-        let mut saved = self.alloc_raw(n, 5 * hidden);
-        let mut out = self.alloc_raw(n, 2 * hidden);
+        let (chunk, at) = self.lstm_state_alloc(len * step);
+        // [X (L·n × din) | Z (L·n × 4h) | step [h | c] (n × 2h) | c₀ = 0 (n × h)]
+        let mut scratch = take_lstm_buf(&mut self.pool, rows * (din + g4) + n * 3 * h);
+        let (xs, rest) = scratch.data_mut().split_at_mut(rows * din);
+        let (z, rest) = rest.split_at_mut(rows * g4);
+        let (hc, rest) = rest.split_at_mut(n * 2 * h);
+        let c0 = &mut rest[..n * h];
+        z.fill(0.0);
+        c0.fill(0.0);
+        for (t, &x) in inputs.iter().enumerate() {
+            xs[t * n * din..(t + 1) * n * din].copy_from_slice(self.nodes[x.0].value.data());
+        }
         let kn = kernels::active();
-        self.nodes[x.0].value.matmul_acc(self.params.value(wx), &mut z);
-        self.nodes[h.0].value.matmul_acc(self.params.value(wh), &mut z);
-        kn.add_row_assign(n, 4 * hidden, z.data_mut(), self.params.value(b).data());
-        let cv = &self.nodes[c.0].value;
-        kn.lstm_gates(n, hidden, z.data(), cv.data(), saved.data_mut(), out.data_mut());
-        pool_put(&mut self.pool, z);
-        self.bump(x);
-        self.bump(h);
-        self.bump(c);
-        self.push(Op::LstmCell { x, h, c, wx, wh, b, hidden, saved }, out, true)
+        let (wxv, whv) = (self.params.value(wx).data(), self.params.value(wh).data());
+        let bv = self.params.value(b).data();
+        // z = x·Wx + h·Wh + 1·b: the input term for every step at once, then
+        // the recurrent term and bias per step (h₀ = 0 adds nothing).
+        kn.matmul_acc(rows, din, g4, xs, wxv, z);
+        let state = &mut self.lstm_state[chunk].data_mut()[at..at + len * step];
+        for t in 0..len {
+            let zt = &mut z[t * n * g4..(t + 1) * n * g4];
+            let (done, cur) = state.split_at_mut(t * step);
+            let prev = t.checked_sub(1).map(|p| &done[p * step + n * 5 * h..]);
+            if let Some(prev) = prev {
+                kn.matmul_acc(n, h, g4, &prev[..n * h], whv, zt);
+            }
+            kn.add_row_assign(n, g4, zt, bv);
+            let c_prev = prev.map_or(&*c0, |prev| &prev[n * h..]);
+            let (gates, hc_t) = cur[..step].split_at_mut(n * 5 * h);
+            kn.lstm_gates(n, h, zt, c_prev, gates, hc);
+            let (h_t, c_t) = hc_t.split_at_mut(n * h);
+            for r in 0..n {
+                let hc_row = &hc[r * 2 * h..(r + 1) * 2 * h];
+                h_t[r * h..(r + 1) * h].copy_from_slice(&hc_row[..h]);
+                c_t[r * h..(r + 1) * h].copy_from_slice(&hc_row[h..]);
+            }
+        }
+        pool_put(&mut self.pool, scratch);
+        for &x in inputs {
+            self.bump(x);
+        }
+        let op = Op::LstmSeq { inputs: inputs.to_vec(), wx, wh, b, hidden, chunk, at };
+        let seq = self.push(op, Tensor::default(), true);
+        (0..len)
+            .map(|t| {
+                let mut v = self.alloc_raw(n, h);
+                let h_at = at + t * step + n * 5 * h;
+                v.data_mut().copy_from_slice(&self.lstm_state[chunk].data()[h_at..h_at + n * h]);
+                self.bump(seq);
+                self.push(Op::LstmOut(seq), v, true)
+            })
+            .collect()
+    }
+
+    /// Reserve `len` elements of LSTM state: the rest of the current chunk
+    /// if it fits, else a fresh chunk. Returns `(chunk, offset)`.
+    fn lstm_state_alloc(&mut self, len: usize) -> (usize, usize) {
+        let fits = self.lstm_state.last().is_some_and(|c| c.len() - self.lstm_state_used >= len);
+        if !fits {
+            let chunk = take_lstm_buf(&mut self.pool, len);
+            self.lstm_state.push(chunk);
+            self.lstm_state_used = 0;
+        }
+        let at = self.lstm_state_used;
+        self.lstm_state_used += len;
+        (self.lstm_state.len() - 1, at)
     }
 
     // ----------------------------------------------------------- composites
@@ -1144,7 +1248,7 @@ impl<'p> Graph<'p> {
     /// (see [`Graph::grads`] / [`Graph::into_grads`] / [`Graph::finish`]).
     pub fn backward(&mut self, loss: NodeId) {
         assert_eq!(self.nodes[loss.0].shape, (1, 1), "backward from non-scalar");
-        let Self { params, grads, nodes, pool, profiler, .. } = self;
+        let Self { params, grads, nodes, pool, profiler, lstm_state, .. } = self;
         let params: &Parameters = params;
 
         let mut seed = take_grad(nodes, pool, loss);
@@ -1578,48 +1682,108 @@ impl<'p> Graph<'p> {
                     }
                     pool_put(pool, dz);
                 }
-                Op::LstmCell { x, h, c, wx, wh, b, hidden, saved } => {
-                    let (x, h, c) = (*x, *h, *c);
-                    let (wx, wh, b, hidden) = (*wx, *wh, *b, *hidden);
-                    let n = nodes[i].shape.0;
-                    // Adjoint g is n × 2h over [h_new | c_new]. Push it back
-                    // through the gates into dz (n × 4h, pre-activation) and
-                    // dc_old (n × h).
-                    let mut dz = pool_take_raw(pool, n, 4 * hidden);
-                    let mut dc_old = pool_take_raw(pool, n, hidden);
-                    kernels::active().lstm_gates_backward(
-                        n,
-                        hidden,
-                        saved.data(),
-                        g.data(),
-                        nodes[c.0].value.data(),
-                        dz.data_mut(),
-                        dc_old.data_mut(),
-                    );
-                    if nodes[x.0].needs_grad {
-                        let mut gx = take_grad(nodes, pool, x);
-                        dz.matmul_nt_acc(params.value(wx), &mut gx);
-                        nodes[x.0].grad = Some(gx);
+                Op::LstmOut(seq) => {
+                    let seq = *seq;
+                    if nodes[seq.0].grad.is_none() {
+                        nodes[seq.0].grad = Some(Tensor::default());
                     }
-                    if nodes[h.0].needs_grad {
-                        let mut gh = take_grad(nodes, pool, h);
-                        dz.matmul_nt_acc(params.value(wh), &mut gh);
-                        nodes[h.0].grad = Some(gh);
+                }
+                Op::LstmSeq { inputs, wx, wh, b, hidden, chunk, at } => {
+                    // BPTT in reverse time, mirroring the unfused tape — one
+                    // cell node per step whose `[h | c]` value was split by
+                    // two `SliceCols` — operation for operation:
+                    // * dh_t is h_t's external adjoint, then the recurrent
+                    //   term dz_{t+1}·Whᵀ accumulated onto it;
+                    // * the cell saw its `[dh | dc]` adjoint through the
+                    //   slices' `0.0 +` adds, repeated here;
+                    // * steps after the last output with an adjoint never
+                    //   ran their cell, so they take no part;
+                    // * weight and bias gradients accumulate over the steps
+                    //   in reverse time order, as the per-step updates did,
+                    //   now in one k-inner matmul per weight.
+                    let (wx, wh, b, h) = (*wx, *wh, *b, *hidden);
+                    let (len, g4) = (inputs.len(), 4 * h);
+                    let (n, din) = nodes[inputs[0].0].shape;
+                    let step = n * LSTM_STATE_WIDTH * h;
+                    // Output t is the `LstmOut` node pushed t + 1 places
+                    // after this one.
+                    let out = |t: usize| i + 1 + t;
+                    let last = (0..len)
+                        .rev()
+                        .find(|&t| nodes[out(t)].grad.is_some())
+                        .expect("LstmSeq reached without an output adjoint");
+                    let active = last + 1;
+                    // Reverse-time stacks [dZ | X | H_prev], then per-step
+                    // [dh | [dh | dc] | dc | c₀ = 0].
+                    let need = active * n * (g4 + din) + last * n * h + n * 5 * h;
+                    let mut scratch = take_lstm_buf(pool, need);
+                    let (dz, rest) = scratch.data_mut().split_at_mut(active * n * g4);
+                    let (xr, rest) = rest.split_at_mut(active * n * din);
+                    let (hr, rest) = rest.split_at_mut(last * n * h);
+                    let (dh, rest) = rest.split_at_mut(n * h);
+                    let (dhc, rest) = rest.split_at_mut(n * 2 * h);
+                    let (dc, rest) = rest.split_at_mut(n * h);
+                    let c0 = &mut rest[..n * h];
+                    dc.fill(0.0);
+                    c0.fill(0.0);
+                    let state = &lstm_state[*chunk].data()[*at..*at + len * step];
+                    for t in 0..active {
+                        let r = last - t;
+                        xr[r * n * din..(r + 1) * n * din]
+                            .copy_from_slice(nodes[inputs[t].0].value.data());
+                        if t < last {
+                            // h_t is the previous state of step t + 1.
+                            let at = t * step + n * 5 * h;
+                            hr[(r - 1) * n * h..r * n * h].copy_from_slice(&state[at..at + n * h]);
+                        }
                     }
-                    if nodes[c.0].needs_grad {
-                        let mut gc = take_grad(nodes, pool, c);
-                        gc.add_assign(&dc_old);
-                        nodes[c.0].grad = Some(gc);
+                    let kn = kernels::active();
+                    let (wxv, whv) = (params.value(wx).data(), params.value(wh).data());
+                    for t in (0..active).rev() {
+                        let r = last - t;
+                        match &nodes[out(t)].grad {
+                            Some(e) => dh.copy_from_slice(e.data()),
+                            None => dh.fill(0.0),
+                        }
+                        if t < last {
+                            let dz_next = &dz[(r - 1) * n * g4..r * n * g4];
+                            kn.matmul_nt_acc(n, g4, h, dz_next, whv, dh);
+                        }
+                        for row in 0..n {
+                            let dhc_row = &mut dhc[row * 2 * h..(row + 1) * 2 * h];
+                            let (dhc_h, dhc_c) = dhc_row.split_at_mut(h);
+                            for (d, v) in dhc_h.iter_mut().zip(&dh[row * h..(row + 1) * h]) {
+                                *d = 0.0 + v;
+                            }
+                            for (d, v) in dhc_c.iter_mut().zip(&dc[row * h..(row + 1) * h]) {
+                                *d = 0.0 + v;
+                            }
+                        }
+                        let gates = &state[t * step..t * step + n * 5 * h];
+                        let c_prev = if t == 0 {
+                            &*c0
+                        } else {
+                            &state[(t - 1) * step + n * 6 * h..t * step]
+                        };
+                        let dz_t = &mut dz[r * n * g4..(r + 1) * n * g4];
+                        kn.lstm_gates_backward(n, h, gates, dhc, c_prev, dz_t, dc);
+                        let x = inputs[t];
+                        if nodes[x.0].needs_grad {
+                            let mut gx = take_grad(nodes, pool, x);
+                            kn.matmul_nt_acc(n, g4, din, dz_t, wxv, gx.data_mut());
+                            nodes[x.0].grad = Some(gx);
+                        }
                     }
-                    let (din, _) = params.value(wx).shape();
-                    let gwx = grads.entry_pooled(wx, din, 4 * hidden, pool.as_deref_mut());
-                    nodes[x.0].value.matmul_tn_acc(&dz, gwx);
-                    let gwh = grads.entry_pooled(wh, hidden, 4 * hidden, pool.as_deref_mut());
-                    nodes[h.0].value.matmul_tn_acc(&dz, gwh);
-                    let gb = grads.entry_pooled(b, 1, 4 * hidden, pool.as_deref_mut());
-                    kernels::active().add_rows_acc(n, 4 * hidden, dz.data(), gb.data_mut());
-                    pool_put(pool, dz);
-                    pool_put(pool, dc_old);
+                    let gwx = grads.entry_pooled(wx, din, g4, pool.as_deref_mut());
+                    kn.matmul_tn_acc(active * n, din, g4, xr, dz, gwx.data_mut());
+                    // Step 0's previous state is h₀ = 0: no contribution.
+                    let gwh = grads.entry_pooled(wh, h, g4, pool.as_deref_mut());
+                    if last > 0 {
+                        kn.matmul_tn_acc(last * n, h, g4, hr, &dz[..last * n * g4], gwh.data_mut());
+                    }
+                    let gb = grads.entry_pooled(b, 1, g4, pool.as_deref_mut());
+                    kn.add_rows_acc(active * n, g4, dz, gb.data_mut());
+                    pool_put(pool, scratch);
                 }
             }
             if let (Some(p), Some(mark)) = (profiler.as_deref_mut(), bwd_mark) {
@@ -1894,9 +2058,8 @@ mod tests {
     }
 
     #[test]
-    fn lstm_cell_matches_composed_gates() {
-        let hidden = 3;
-        let din = 2;
+    fn lstm_seq_matches_composed_gates() {
+        let (hidden, din, len) = (3, 2, 3);
         let mk = |seed: usize, n: usize| {
             (0..n).map(|i| ((i + seed) as f64 * 0.37).sin() * 0.8).collect::<Vec<_>>()
         };
@@ -1904,52 +2067,72 @@ mod tests {
             ("wx", Tensor::from_vec(din, 4 * hidden, mk(1, din * 4 * hidden))),
             ("wh", Tensor::from_vec(hidden, 4 * hidden, mk(2, hidden * 4 * hidden))),
             ("b", Tensor::from_vec(1, 4 * hidden, mk(3, 4 * hidden))),
+            ("x", Tensor::from_vec(len, din, mk(4, len * din))),
         ]);
-        let xd = Tensor::from_vec(1, din, vec![0.7, -1.2]);
-        let hd = Tensor::from_vec(1, hidden, vec![0.1, -0.3, 0.6]);
-        let cd = Tensor::from_vec(1, hidden, vec![-0.5, 0.2, 0.9]);
 
-        // Fused cell.
+        // Fused sequence op.
         let mut g1 = Graph::new(&p);
-        let (x, h, c) = (g1.input(xd.clone()), g1.input(hd.clone()), g1.input(cd.clone()));
-        let hc = g1.lstm_cell(x, h, c, ids[0], ids[1], ids[2], hidden);
-        let h_new = g1.slice_cols(hc, 0, hidden);
-        let s1 = g1.sum_all(h_new);
+        let xs: Vec<NodeId> = (0..len).map(|t| g1.embed_lookup(ids[3], &[t])).collect();
+        let hs = g1.lstm_seq(&xs, ids[0], ids[1], ids[2], hidden);
+        let stacked = g1.concat_rows(&hs);
+        let s1 = g1.sum_all(stacked);
         let (v1, gr1) = g1.finish(s1);
 
-        // Composed reference (the pre-fusion LstmLayer::step).
+        // Composed reference: the per-step gate equations as elementary ops.
         let mut g2 = Graph::new(&p);
-        let (x, h, c) = (g2.input(xd), g2.input(hd), g2.input(cd));
         let wx = g2.param(ids[0]);
         let wh = g2.param(ids[1]);
         let b = g2.param(ids[2]);
-        let xw = g2.matmul(x, wx);
-        let hw = g2.matmul(h, wh);
-        let pre0 = g2.add(xw, hw);
-        let pre = g2.add_row(pre0, b);
-        let i_pre = g2.slice_cols(pre, 0, hidden);
-        let f_pre = g2.slice_cols(pre, hidden, 2 * hidden);
-        let g_pre = g2.slice_cols(pre, 2 * hidden, 3 * hidden);
-        let o_pre = g2.slice_cols(pre, 3 * hidden, 4 * hidden);
-        let i = g2.sigmoid(i_pre);
-        let f = g2.sigmoid(f_pre);
-        let cand = g2.tanh(g_pre);
-        let o = g2.sigmoid(o_pre);
-        let fc = g2.mul(f, c);
-        let ig = g2.mul(i, cand);
-        let c_new = g2.add(fc, ig);
-        let c_tanh = g2.tanh(c_new);
-        let h_new = g2.mul(o, c_tanh);
-        let s2 = g2.sum_all(h_new);
+        let mut h = g2.input_zeros(1, hidden);
+        let mut c = g2.input_zeros(1, hidden);
+        let mut hs = Vec::new();
+        for t in 0..len {
+            let x = g2.embed_lookup(ids[3], &[t]);
+            let xw = g2.matmul(x, wx);
+            let hw = g2.matmul(h, wh);
+            let pre0 = g2.add(xw, hw);
+            let pre = g2.add_row(pre0, b);
+            let i_pre = g2.slice_cols(pre, 0, hidden);
+            let f_pre = g2.slice_cols(pre, hidden, 2 * hidden);
+            let g_pre = g2.slice_cols(pre, 2 * hidden, 3 * hidden);
+            let o_pre = g2.slice_cols(pre, 3 * hidden, 4 * hidden);
+            let i = g2.sigmoid(i_pre);
+            let f = g2.sigmoid(f_pre);
+            let cand = g2.tanh(g_pre);
+            let o = g2.sigmoid(o_pre);
+            let fc = g2.mul(f, c);
+            let ig = g2.mul(i, cand);
+            c = g2.add(fc, ig);
+            let c_tanh = g2.tanh(c);
+            h = g2.mul(o, c_tanh);
+            hs.push(h);
+        }
+        let stacked = g2.concat_rows(&hs);
+        let s2 = g2.sum_all(stacked);
         let (v2, gr2) = g2.finish(s2);
 
         assert!((v1 - v2).abs() < 1e-12, "forward mismatch: {v1} vs {v2}");
-        for id in [ids[0], ids[1], ids[2]] {
+        for &id in &ids {
             let (a, b) = (gr1.grad(id).unwrap(), gr2.grad(id).unwrap());
             for (x, y) in a.data().iter().zip(b.data()) {
-                assert!((x - y).abs() < 1e-10, "lstm_cell grad mismatch: {x} vs {y}");
+                assert!((x - y).abs() < 1e-10, "lstm_seq grad mismatch: {x} vs {y}");
             }
         }
+    }
+
+    #[test]
+    fn lstm_puts_one_node_per_sequence_and_layer_on_the_tape() {
+        let mut p = Parameters::new();
+        let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(5);
+        let lstm = crate::layers::Lstm::new(&mut p, &mut rng, "lstm", 3, 4, 2);
+        let mut g = Graph::new(&p);
+        let xs: Vec<NodeId> = (0..6).map(|t| g.input_row(&[t as f64, 1.0, -1.0])).collect();
+        let hs = lstm.forward(&mut g, &xs);
+        let count = |kind: OpKind| g.nodes.iter().filter(|n| n.op.kind() == kind).count();
+        assert_eq!(count(OpKind::LstmCell), 2, "one sequence node per layer");
+        assert_eq!(count(OpKind::LstmOut), 2 * 6, "one output row per step and layer");
+        assert_eq!(g.num_nodes(), 6 + 2 * (1 + 6), "nothing else on the tape");
+        assert_eq!(hs.len(), 6);
     }
 
     #[test]

@@ -47,9 +47,12 @@
 //! `WSCCL_KERNELS=scalar|simd|auto` overrides any configured choice so CI can
 //! force both paths over the whole suite. Tests and benches may flip the
 //! backend mid-process with [`force`] — sound precisely because of the f64
-//! bit-identity contract above.
+//! bit-identity contract above. The returned [`ForcedBackend`] guard holds a
+//! process-wide lock, so concurrent tests that force different backends take
+//! turns instead of switching each other's kernels mid-run.
 
 use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use serde::{Deserialize, Serialize};
 
@@ -863,73 +866,228 @@ mod avx2 {
 
     use super::scalar;
 
-    /// `out += a · b`, register-blocked: 16 output columns live in four
-    /// accumulators across the whole `k` loop, so `out` is loaded and stored
-    /// once per block instead of once per `k`. Each output element still
-    /// accumulates `a[i][kk] · b[kk][j]` in ascending `kk` starting from the
-    /// original `out` value — exactly the scalar order — and the `a == 0.0`
-    /// skip is retained.
+    /// `crow (1×n) += Σ_kk a[kk·a_stride] · b[kk] (k×n)`: one output row,
+    /// register-blocked. 32 output columns live in eight accumulators (then
+    /// 16 in four, then 4 in one) across the whole `k` loop, so `crow` is
+    /// loaded and stored once per block instead of once per `kk`. Each output
+    /// element accumulates `a[kk] · b[kk][j]` in ascending `kk` starting from
+    /// its original value — exactly the scalar i-k-j order — and the
+    /// `a == 0.0` skip is retained. `a_stride` is 1 for a row of `a`
+    /// ([`matmul_acc`]) and `m` for a column of `aᵀ` ([`matmul_tn_acc`]).
+    #[inline]
     #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn matmul_acc(m: usize, k: usize, n: usize, a: &[f64], b: &[f64], out: &mut [f64]) {
-        let bp = b.as_ptr();
-        for i in 0..m {
-            let arow = a.as_ptr().add(i * k);
-            let crow = out.as_mut_ptr().add(i * n);
-            let mut j = 0;
-            while j + 16 <= n {
-                let mut acc0 = _mm256_loadu_pd(crow.add(j));
-                let mut acc1 = _mm256_loadu_pd(crow.add(j + 4));
-                let mut acc2 = _mm256_loadu_pd(crow.add(j + 8));
-                let mut acc3 = _mm256_loadu_pd(crow.add(j + 12));
-                for kk in 0..k {
-                    let av = *arow.add(kk);
-                    if av == 0.0 {
-                        continue;
-                    }
-                    let va = _mm256_set1_pd(av);
-                    let brow = bp.add(kk * n + j);
-                    acc0 = _mm256_fmadd_pd(va, _mm256_loadu_pd(brow), acc0);
-                    acc1 = _mm256_fmadd_pd(va, _mm256_loadu_pd(brow.add(4)), acc1);
-                    acc2 = _mm256_fmadd_pd(va, _mm256_loadu_pd(brow.add(8)), acc2);
-                    acc3 = _mm256_fmadd_pd(va, _mm256_loadu_pd(brow.add(12)), acc3);
+    unsafe fn row_times_b(
+        acol: *const f64,
+        a_stride: usize,
+        k: usize,
+        n: usize,
+        bp: *const f64,
+        ldb: usize,
+        crow: *mut f64,
+    ) {
+        let mut j = 0;
+        while j + 32 <= n {
+            let mut acc0 = _mm256_loadu_pd(crow.add(j));
+            let mut acc1 = _mm256_loadu_pd(crow.add(j + 4));
+            let mut acc2 = _mm256_loadu_pd(crow.add(j + 8));
+            let mut acc3 = _mm256_loadu_pd(crow.add(j + 12));
+            let mut acc4 = _mm256_loadu_pd(crow.add(j + 16));
+            let mut acc5 = _mm256_loadu_pd(crow.add(j + 20));
+            let mut acc6 = _mm256_loadu_pd(crow.add(j + 24));
+            let mut acc7 = _mm256_loadu_pd(crow.add(j + 28));
+            for kk in 0..k {
+                let av = *acol.add(kk * a_stride);
+                if av == 0.0 {
+                    continue;
                 }
-                _mm256_storeu_pd(crow.add(j), acc0);
-                _mm256_storeu_pd(crow.add(j + 4), acc1);
-                _mm256_storeu_pd(crow.add(j + 8), acc2);
-                _mm256_storeu_pd(crow.add(j + 12), acc3);
-                j += 16;
+                let va = _mm256_set1_pd(av);
+                let brow = bp.add(kk * ldb + j);
+                acc0 = _mm256_fmadd_pd(va, _mm256_loadu_pd(brow), acc0);
+                acc1 = _mm256_fmadd_pd(va, _mm256_loadu_pd(brow.add(4)), acc1);
+                acc2 = _mm256_fmadd_pd(va, _mm256_loadu_pd(brow.add(8)), acc2);
+                acc3 = _mm256_fmadd_pd(va, _mm256_loadu_pd(brow.add(12)), acc3);
+                acc4 = _mm256_fmadd_pd(va, _mm256_loadu_pd(brow.add(16)), acc4);
+                acc5 = _mm256_fmadd_pd(va, _mm256_loadu_pd(brow.add(20)), acc5);
+                acc6 = _mm256_fmadd_pd(va, _mm256_loadu_pd(brow.add(24)), acc6);
+                acc7 = _mm256_fmadd_pd(va, _mm256_loadu_pd(brow.add(28)), acc7);
             }
-            while j + 4 <= n {
-                let mut acc = _mm256_loadu_pd(crow.add(j));
-                for kk in 0..k {
-                    let av = *arow.add(kk);
-                    if av == 0.0 {
-                        continue;
-                    }
-                    let vb = _mm256_loadu_pd(bp.add(kk * n + j));
-                    acc = _mm256_fmadd_pd(_mm256_set1_pd(av), vb, acc);
+            _mm256_storeu_pd(crow.add(j), acc0);
+            _mm256_storeu_pd(crow.add(j + 4), acc1);
+            _mm256_storeu_pd(crow.add(j + 8), acc2);
+            _mm256_storeu_pd(crow.add(j + 12), acc3);
+            _mm256_storeu_pd(crow.add(j + 16), acc4);
+            _mm256_storeu_pd(crow.add(j + 20), acc5);
+            _mm256_storeu_pd(crow.add(j + 24), acc6);
+            _mm256_storeu_pd(crow.add(j + 28), acc7);
+            j += 32;
+        }
+        while j + 16 <= n {
+            let mut acc0 = _mm256_loadu_pd(crow.add(j));
+            let mut acc1 = _mm256_loadu_pd(crow.add(j + 4));
+            let mut acc2 = _mm256_loadu_pd(crow.add(j + 8));
+            let mut acc3 = _mm256_loadu_pd(crow.add(j + 12));
+            for kk in 0..k {
+                let av = *acol.add(kk * a_stride);
+                if av == 0.0 {
+                    continue;
                 }
-                _mm256_storeu_pd(crow.add(j), acc);
-                j += 4;
+                let va = _mm256_set1_pd(av);
+                let brow = bp.add(kk * ldb + j);
+                acc0 = _mm256_fmadd_pd(va, _mm256_loadu_pd(brow), acc0);
+                acc1 = _mm256_fmadd_pd(va, _mm256_loadu_pd(brow.add(4)), acc1);
+                acc2 = _mm256_fmadd_pd(va, _mm256_loadu_pd(brow.add(8)), acc2);
+                acc3 = _mm256_fmadd_pd(va, _mm256_loadu_pd(brow.add(12)), acc3);
             }
-            while j < n {
-                let mut s = *crow.add(j);
-                for kk in 0..k {
-                    let av = *arow.add(kk);
-                    if av == 0.0 {
-                        continue;
-                    }
-                    s = av.mul_add(*bp.add(kk * n + j), s);
+            _mm256_storeu_pd(crow.add(j), acc0);
+            _mm256_storeu_pd(crow.add(j + 4), acc1);
+            _mm256_storeu_pd(crow.add(j + 8), acc2);
+            _mm256_storeu_pd(crow.add(j + 12), acc3);
+            j += 16;
+        }
+        while j + 4 <= n {
+            let mut acc = _mm256_loadu_pd(crow.add(j));
+            for kk in 0..k {
+                let av = *acol.add(kk * a_stride);
+                if av == 0.0 {
+                    continue;
                 }
-                *crow.add(j) = s;
-                j += 1;
+                let vb = _mm256_loadu_pd(bp.add(kk * ldb + j));
+                acc = _mm256_fmadd_pd(_mm256_set1_pd(av), vb, acc);
             }
+            _mm256_storeu_pd(crow.add(j), acc);
+            j += 4;
+        }
+        while j < n {
+            let mut s = *crow.add(j);
+            for kk in 0..k {
+                let av = *acol.add(kk * a_stride);
+                if av == 0.0 {
+                    continue;
+                }
+                s = av.mul_add(*bp.add(kk * ldb + j), s);
+            }
+            *crow.add(j) = s;
+            j += 1;
         }
     }
 
-    // `matmul_tn_acc` has no intrinsic body on purpose: the rank-1 update is
-    // a row of fused axpys, and the autovectorized scalar body wins — see
-    // `SimdKernels::matmul_tn_acc`.
+    /// [`row_times_b`] for two output rows at once over the leading 16-column
+    /// blocks: each load of `b` feeds both rows, halving the `b` traffic. The
+    /// zero skip stays per row and per `kk`, so every element still sees the
+    /// scalar sequence of fused multiply-adds. Returns the columns done.
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    #[allow(clippy::too_many_arguments)]
+    unsafe fn two_rows_times_b(
+        a0: *const f64,
+        a1: *const f64,
+        a_stride: usize,
+        k: usize,
+        n: usize,
+        bp: *const f64,
+        c0: *mut f64,
+        c1: *mut f64,
+    ) -> usize {
+        let mut j = 0;
+        while j + 16 <= n {
+            let mut x0 = _mm256_loadu_pd(c0.add(j));
+            let mut x1 = _mm256_loadu_pd(c0.add(j + 4));
+            let mut x2 = _mm256_loadu_pd(c0.add(j + 8));
+            let mut x3 = _mm256_loadu_pd(c0.add(j + 12));
+            let mut y0 = _mm256_loadu_pd(c1.add(j));
+            let mut y1 = _mm256_loadu_pd(c1.add(j + 4));
+            let mut y2 = _mm256_loadu_pd(c1.add(j + 8));
+            let mut y3 = _mm256_loadu_pd(c1.add(j + 12));
+            for kk in 0..k {
+                let (u, v) = (*a0.add(kk * a_stride), *a1.add(kk * a_stride));
+                let brow = bp.add(kk * n + j);
+                let b0 = _mm256_loadu_pd(brow);
+                let b1 = _mm256_loadu_pd(brow.add(4));
+                let b2 = _mm256_loadu_pd(brow.add(8));
+                let b3 = _mm256_loadu_pd(brow.add(12));
+                if u != 0.0 {
+                    let vu = _mm256_set1_pd(u);
+                    x0 = _mm256_fmadd_pd(vu, b0, x0);
+                    x1 = _mm256_fmadd_pd(vu, b1, x1);
+                    x2 = _mm256_fmadd_pd(vu, b2, x2);
+                    x3 = _mm256_fmadd_pd(vu, b3, x3);
+                }
+                if v != 0.0 {
+                    let vv = _mm256_set1_pd(v);
+                    y0 = _mm256_fmadd_pd(vv, b0, y0);
+                    y1 = _mm256_fmadd_pd(vv, b1, y1);
+                    y2 = _mm256_fmadd_pd(vv, b2, y2);
+                    y3 = _mm256_fmadd_pd(vv, b3, y3);
+                }
+            }
+            _mm256_storeu_pd(c0.add(j), x0);
+            _mm256_storeu_pd(c0.add(j + 4), x1);
+            _mm256_storeu_pd(c0.add(j + 8), x2);
+            _mm256_storeu_pd(c0.add(j + 12), x3);
+            _mm256_storeu_pd(c1.add(j), y0);
+            _mm256_storeu_pd(c1.add(j + 4), y1);
+            _mm256_storeu_pd(c1.add(j + 8), y2);
+            _mm256_storeu_pd(c1.add(j + 12), y3);
+            j += 16;
+        }
+        j
+    }
+
+    /// `out (m×n) += Σ_kk a[·, kk] · b[kk]` over all `m` output rows, where
+    /// row `i` reads `a` from `a_row(i)` with stride `a_stride`: rows in
+    /// pairs through [`two_rows_times_b`], remaining columns and an odd last
+    /// row through [`row_times_b`].
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn rows_times_b(
+        m: usize,
+        a_row: impl Fn(usize) -> *const f64,
+        a_stride: usize,
+        k: usize,
+        n: usize,
+        bp: *const f64,
+        out: *mut f64,
+    ) {
+        let mut i = 0;
+        while i + 2 <= m {
+            let (c0, c1) = (out.add(i * n), out.add((i + 1) * n));
+            let done = two_rows_times_b(a_row(i), a_row(i + 1), a_stride, k, n, bp, c0, c1);
+            if done < n {
+                row_times_b(a_row(i), a_stride, k, n - done, bp.add(done), n, c0.add(done));
+                row_times_b(a_row(i + 1), a_stride, k, n - done, bp.add(done), n, c1.add(done));
+            }
+            i += 2;
+        }
+        if i < m {
+            row_times_b(a_row(i), a_stride, k, n, bp, n, out.add(i * n));
+        }
+    }
+
+    /// `out (m×n) += a (m×k) · b (k×n)`, one [`row_times_b`] per output row.
+    #[target_feature(enable = "avx2,fma")]
+    pub unsafe fn matmul_acc(m: usize, k: usize, n: usize, a: &[f64], b: &[f64], out: &mut [f64]) {
+        assert!(a.len() >= m * k && b.len() >= k * n && out.len() >= m * n);
+        rows_times_b(m, |i| a.as_ptr().add(i * k), 1, k, n, b.as_ptr(), out.as_mut_ptr());
+    }
+
+    /// `out (m×n) += a (k×m)ᵀ · b (k×n)`, k-inner: each output row `i` reads
+    /// column `i` of `a` and accumulates over all `k` rows of `b` in
+    /// registers, so `out` is read and written once per call instead of once
+    /// per `kk` as in the scalar rank-1 loop. Per element the fused
+    /// multiply-adds still run in ascending `kk` with the same `a == 0.0`
+    /// skip, so the result is bit-identical to [`scalar::matmul_tn_acc`].
+    #[target_feature(enable = "avx2,fma")]
+    pub unsafe fn matmul_tn_acc(
+        k: usize,
+        m: usize,
+        n: usize,
+        a: &[f64],
+        b: &[f64],
+        out: &mut [f64],
+    ) {
+        assert!(a.len() >= k * m && b.len() >= k * n && out.len() >= m * n);
+        rows_times_b(m, |i| a.as_ptr().add(i), m, k, n, b.as_ptr(), out.as_mut_ptr());
+    }
 
     /// The four-lane interleaved reduction of [`scalar::dot`] held in one
     /// register: lane `p` sums elements `p, p+4, …` with fused multiply-adds,
@@ -1994,11 +2152,17 @@ impl Kernels for SimdKernels {
     }
 
     fn matmul_tn_acc(&self, k: usize, m: usize, n: usize, a: &[f64], b: &[f64], out: &mut [f64]) {
-        // The k-outer rank-1 update is a row of fused axpys; LLVM's
-        // autovectorization of the (FMA-dispatched) scalar body beats the
-        // hand-blocked intrinsic version, and both are bit-identical, so the
-        // SIMD backend uses the scalar body outright.
-        scalar::matmul_tn_acc(k, m, n, a, b, out);
+        // A single-row update (k = 1) is a row of fused axpys that LLVM
+        // autovectorizes well from the (FMA-dispatched) scalar body; from
+        // k = 2 on, the k-inner tiled kernel keeps `out` in registers.
+        if k < 2 {
+            scalar::matmul_tn_acc(k, m, n, a, b, out);
+            return;
+        }
+        simd_or_scalar!(
+            avx2::matmul_tn_acc(k, m, n, a, b, out),
+            scalar::matmul_tn_acc(k, m, n, a, b, out)
+        );
     }
 
     fn add_into(&self, a: &[f64], b: &[f64], out: &mut [f64]) {
@@ -2224,15 +2388,60 @@ pub fn select(requested: KernelBackend) -> &'static str {
     active_name()
 }
 
-/// Unconditionally swap the active backend — for tests and benches that need
-/// both in one process. Sound for f64 work because the backends are
-/// bit-identical; f32 inference results may legitimately differ within the
-/// documented error budget.
-pub fn force(backend: KernelBackend) -> &'static str {
-    let code = backend_code(backend);
+/// Serializes [`force`] holders across the process.
+static FORCE_LOCK: Mutex<()> = Mutex::new(());
+
+/// Exclusive hold on the process-wide backend, returned by [`force`]. While
+/// it lives, every other `force` call blocks. Dropping it — also when
+/// unwinding from a panic — restores the backend that was active before the
+/// hold began (for a process that never forced one: `Auto`, or the
+/// `WSCCL_KERNELS` override).
+#[must_use = "the forced backend is released when the guard drops"]
+pub struct ForcedBackend {
+    /// `ACTIVE` as found when the hold began.
+    prev: u8,
+    _hold: MutexGuard<'static, ()>,
+}
+
+impl ForcedBackend {
+    /// Name of the forced backend (`"scalar"` or `"simd"`).
+    pub fn name(&self) -> &'static str {
+        active_name()
+    }
+
+    /// Switch to another backend without releasing the hold.
+    pub fn switch(&mut self, backend: KernelBackend) -> &'static str {
+        set_active(backend_code(backend));
+        self.name()
+    }
+}
+
+impl Drop for ForcedBackend {
+    fn drop(&mut self) {
+        ACTIVE.store(self.prev, Ordering::Relaxed);
+        if self.prev != 0 {
+            publish_gauge(self.prev);
+        }
+    }
+}
+
+fn set_active(code: u8) {
     ACTIVE.store(code, Ordering::Relaxed);
     publish_gauge(code);
-    from_code(code).name()
+}
+
+/// Swap the active backend until the returned guard drops — for tests and
+/// benches that need both in one process. Blocks while another guard is
+/// held. Sound for f64 work because the backends are bit-identical; f32
+/// inference results may legitimately differ within the documented error
+/// budget.
+pub fn force(backend: KernelBackend) -> ForcedBackend {
+    // A holder that panicked poisons the lock, but its guard still restored
+    // the backend on unwind, so the state behind the lock is sound.
+    let hold = FORCE_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
+    let prev = ACTIVE.load(Ordering::Relaxed);
+    set_active(backend_code(backend));
+    ForcedBackend { prev, _hold: hold }
 }
 
 /// The active kernel set, resolving `Auto` (plus env override) on first use.
@@ -2287,17 +2496,52 @@ mod tests {
     #[test]
     fn backend_resolution_latches_and_force_overrides() {
         // Whatever is currently latched, force() must flip deterministically.
-        let prev = active_name();
-        assert_eq!(force(KernelBackend::Scalar), "scalar");
+        let mut forced = force(KernelBackend::Scalar);
+        assert_eq!(forced.name(), "scalar");
         assert_eq!(active_name(), "scalar");
         assert_eq!(
-            force(KernelBackend::Simd),
+            forced.switch(KernelBackend::Simd),
             "simd",
             "Simd force always names simd (portable fallback inside)"
         );
-        // Restore whatever the suite was using.
-        let restore = if prev == "simd" { KernelBackend::Simd } else { KernelBackend::Scalar };
-        force(restore);
+    }
+
+    #[test]
+    fn a_second_force_waits_until_the_guard_drops() {
+        use std::sync::mpsc;
+        use std::time::Duration;
+        let first = force(KernelBackend::Scalar);
+        let (tx, rx) = mpsc::channel();
+        let second = std::thread::spawn(move || {
+            let forced = force(KernelBackend::Simd);
+            tx.send(forced.name()).expect("receiver alive");
+        });
+        assert!(
+            rx.recv_timeout(Duration::from_millis(200)).is_err(),
+            "a second force ran while the first guard was held"
+        );
+        assert_eq!(active_name(), "scalar", "the held backend must not change under the guard");
+        drop(first);
+        let name = rx.recv_timeout(Duration::from_secs(30)).expect("second force never ran");
+        assert_eq!(name, "simd");
+        second.join().expect("second forcing thread");
+    }
+
+    #[test]
+    fn the_guard_restores_the_previous_backend_when_unwinding() {
+        active();
+        let forced = force(KernelBackend::Scalar);
+        let found = forced.prev;
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
+            let mut forced = forced;
+            forced.switch(KernelBackend::Simd);
+            panic!("a test failed while holding a forced backend");
+        }));
+        assert!(unwound.is_err());
+        // The lock is free again (poisoning is tolerated), and the backend is
+        // the one the unwound holder found.
+        let next = force(KernelBackend::Scalar);
+        assert_eq!(next.prev, found, "unwinding must restore the previous backend");
     }
 
     #[test]

@@ -37,19 +37,6 @@ impl LstmLayer {
         let b = params.register(format!("{name}.b"), bias);
         Self { wx, wh, b, hidden }
     }
-
-    /// One step. `x` is `(n, in_dim)`, `h`/`c` are `(n, hidden)`.
-    ///
-    /// All four gates run as one fused [`Graph::lstm_cell`] node — the gate
-    /// matmuls hit the pre-packed `[i|f|g|o]` weight blocks directly, and the
-    /// backward is closed-form instead of 15 composed-op adjoints.
-    fn step(&self, g: &mut Graph<'_>, x: NodeId, h: NodeId, c: NodeId) -> (NodeId, NodeId) {
-        let hsz = self.hidden;
-        let hc = g.lstm_cell(x, h, c, self.wx, self.wh, self.b, hsz);
-        let h_new = g.slice_cols(hc, 0, hsz);
-        let c_new = g.slice_cols(hc, hsz, 2 * hsz);
-        (h_new, c_new)
-    }
 }
 
 /// Stacked LSTM. The paper uses 2 layers with hidden size 128; dimensions are
@@ -100,21 +87,15 @@ impl Lstm {
 
     /// Run the stack over a sequence of `(1, in_dim)` (or `(n, in_dim)`)
     /// timestep nodes; returns the top layer's hidden state per step.
+    ///
+    /// Each layer is one fused [`Graph::lstm_seq`] node over the whole
+    /// sequence: all four gates against the pre-packed `[i|f|g|o]` weight
+    /// blocks, with a closed-form backward through time inside the op.
     pub fn forward(&self, g: &mut Graph<'_>, inputs: &[NodeId]) -> Vec<NodeId> {
         assert!(!inputs.is_empty(), "Lstm over empty sequence");
-        let n = g.value(inputs[0]).rows();
         let mut seq: Vec<NodeId> = inputs.to_vec();
         for layer in &self.layers {
-            let mut h = g.input_zeros(n, self.hidden);
-            let mut c = g.input_zeros(n, self.hidden);
-            let mut out = Vec::with_capacity(seq.len());
-            for &x in &seq {
-                let (h_new, c_new) = layer.step(g, x, h, c);
-                h = h_new;
-                c = c_new;
-                out.push(h);
-            }
-            seq = out;
+            seq = g.lstm_seq(&seq, layer.wx, layer.wh, layer.b, self.hidden);
         }
         seq
     }

@@ -535,27 +535,26 @@ fn affine_grad_without_bias() {
     );
 }
 
-#[test]
-fn lstm_cell_grad() {
+/// The fused LSTM sequence op through `Lstm::forward`: `len` steps of
+/// `rows`-row inputs, with the loss squaring the outputs of the first
+/// `reached` steps. Inputs are parameter rows, so their adjoints are checked
+/// too.
+fn check_lstm_seq(len: usize, layers: usize, rows: usize, reached: usize) {
     let (in_dim, hidden) = (2, 3);
     let mut rng = rng();
     let mut p = Parameters::new();
-    let wx = p.register("wx", rand_tensor(&mut rng, in_dim, 4 * hidden));
-    let wh = p.register("wh", rand_tensor(&mut rng, hidden, 4 * hidden));
-    let b = p.register("b", rand_tensor(&mut rng, 1, 4 * hidden));
-    let x = p.register("x", rand_tensor(&mut rng, 2, in_dim));
-    let h = p.register("h", rand_tensor(&mut rng, 2, hidden));
-    let c = p.register("c", rand_tensor(&mut rng, 2, hidden));
+    let lstm = Lstm::new(&mut p, &mut rng, "lstm", in_dim, hidden, layers);
+    let x = p.register("x", rand_tensor(&mut rng, len * rows, in_dim));
     assert_gradients_close(
         &mut p,
         |p| {
             let mut g = Graph::new(p);
-            let xn = g.param(x);
-            let hn = g.param(h);
-            let cn = g.param(c);
-            let hc = g.lstm_cell(xn, hn, cn, wx, wh, b, hidden);
-            // Square so both the h and c halves feed the loss nonlinearly.
-            let sq = g.mul(hc, hc);
+            let xs: Vec<_> = (0..len)
+                .map(|t| g.embed_lookup(x, &(t * rows..(t + 1) * rows).collect::<Vec<_>>()))
+                .collect();
+            let hs = lstm.forward(&mut g, &xs);
+            let stacked = g.concat_rows(&hs[..reached]);
+            let sq = g.mul(stacked, stacked);
             let l = g.sum_all(sq);
             g.finish(l)
         },
@@ -564,38 +563,26 @@ fn lstm_cell_grad() {
     );
 }
 
-/// Two chained LSTM cells: the recurrent path (dh, dc flowing into the
-/// previous cell) is what the closed-form backward most easily gets wrong.
+/// Every output in the loss: each step's adjoint combines its own external
+/// term with the recurrent (dh, dc) flow from the step after it.
 #[test]
-fn lstm_cell_chained_grad() {
-    let (in_dim, hidden) = (2, 2);
-    let mut rng = rng();
-    let mut p = Parameters::new();
-    let wx = p.register("wx", rand_tensor(&mut rng, in_dim, 4 * hidden));
-    let wh = p.register("wh", rand_tensor(&mut rng, hidden, 4 * hidden));
-    let b = p.register("b", rand_tensor(&mut rng, 1, 4 * hidden));
-    let x0 = p.register("x0", rand_tensor(&mut rng, 1, in_dim));
-    let x1 = p.register("x1", rand_tensor(&mut rng, 1, in_dim));
-    assert_gradients_close(
-        &mut p,
-        |p| {
-            let mut g = Graph::new(p);
-            let x0n = g.param(x0);
-            let x1n = g.param(x1);
-            let h0 = g.input_zeros(1, hidden);
-            let c0 = g.input_zeros(1, hidden);
-            let hc1 = g.lstm_cell(x0n, h0, c0, wx, wh, b, hidden);
-            let h1 = g.slice_cols(hc1, 0, hidden);
-            let c1 = g.slice_cols(hc1, hidden, 2 * hidden);
-            let hc2 = g.lstm_cell(x1n, h1, c1, wx, wh, b, hidden);
-            let h2 = g.slice_cols(hc2, 0, hidden);
-            let sq = g.mul(h2, h2);
-            let l = g.sum_all(sq);
-            g.finish(l)
-        },
-        EPS,
-        TOL,
-    );
+fn lstm_seq_grad() {
+    for layers in [1, 2] {
+        for len in [1, 2, 5] {
+            check_lstm_seq(len, layers, 1, len);
+        }
+    }
+    check_lstm_seq(5, 2, 2, 5);
+}
+
+/// Only a leading prefix in the loss: the trailing steps get no adjoint and
+/// the earlier ones are reached through the recurrence alone.
+#[test]
+fn lstm_seq_prefix_grad() {
+    for layers in [1, 2] {
+        check_lstm_seq(2, layers, 1, 1);
+        check_lstm_seq(5, layers, 1, 2);
+    }
 }
 
 /// In-place variants must be gradient-identical to their allocating forms,
@@ -1094,30 +1081,9 @@ mod sweep {
         );
     }
 
-    /// LstmCell (fused step, both halves of the h‖c output in the loss).
-    fn lstm_cell() {
-        let (in_dim, hidden) = (2, 3);
-        let mut rng = rng();
-        let mut p = Parameters::new();
-        let wx = p.register("wx", rand_tensor(&mut rng, in_dim, 4 * hidden));
-        let wh = p.register("wh", rand_tensor(&mut rng, hidden, 4 * hidden));
-        let b = p.register("b", rand_tensor(&mut rng, 1, 4 * hidden));
-        let x = p.register("x", rand_tensor(&mut rng, 2, in_dim));
-        let h = p.register("h", rand_tensor(&mut rng, 2, hidden));
-        let c = p.register("c", rand_tensor(&mut rng, 2, hidden));
-        assert_gradients_close(
-            &mut p,
-            |p| {
-                let mut g = Graph::new(p);
-                let (xn, hn, cn) = (g.param(x), g.param(h), g.param(c));
-                let hc = g.lstm_cell(xn, hn, cn, wx, wh, b, hidden);
-                let sq = g.mul(hc, hc);
-                let l = g.sum_all(sq);
-                g.finish(l)
-            },
-            EPS,
-            TOL,
-        );
+    /// LstmCell, LstmOut (fused two-layer sequence, every output in the loss).
+    fn lstm_seq() {
+        check_lstm_seq(5, 2, 1, 5);
     }
 
     /// The registry: every tape op kind → the check that exercises it. A
@@ -1152,7 +1118,8 @@ mod sweep {
             (OpKind::LayerNormRows, layer_norm),
             (OpKind::SliceRows, slice_concat_rows),
             (OpKind::Affine, affine),
-            (OpKind::LstmCell, lstm_cell),
+            (OpKind::LstmCell, lstm_seq),
+            (OpKind::LstmOut, lstm_seq),
         ]
     }
 
@@ -1176,12 +1143,11 @@ mod sweep {
         fns.dedup_by_key(|f| *f as usize);
         use wsccl_nn::kernels::{self, KernelBackend};
         for backend in [KernelBackend::Scalar, KernelBackend::Simd] {
-            kernels::force(backend);
+            let _forced = kernels::force(backend);
             for f in &fns {
                 f();
             }
         }
-        kernels::force(KernelBackend::Auto);
     }
 }
 

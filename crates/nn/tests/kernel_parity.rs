@@ -77,6 +77,63 @@ proptest! {
         prop_assert_eq!(so, vo);
     }
 
+    /// The k-inner tiled `matmul_tn_acc` (k ≥ 2): odd output heights, widths
+    /// through every 32/16/4-column block and tail, and exact zeros (both
+    /// signs) in `a` so the per-element zero skip runs.
+    #[test]
+    fn matmul_tn_acc_tiled_parity(
+        k in 2usize..=24,
+        half_m in 0usize..21,
+        (q, tail) in (0usize..9, 0usize..16),
+        a in vecf(24 * 41),
+        zeros in proptest::collection::vec(0u8..10, 24 * 41),
+        b in vecf(24 * 143),
+    ) {
+        let m = 2 * half_m + 1;
+        let n = (16 * q + tail).max(1);
+        let a: Vec<f64> = a[..k * m]
+            .iter()
+            .zip(&zeros)
+            .enumerate()
+            .map(|(i, (&v, &z))| if z >= 3 { v } else if i % 2 == 0 { 0.0 } else { -0.0 })
+            .collect();
+        // A few infinities in `b`: a skipped zero leaves the output alone,
+        // while a multiplied one would turn it into NaN.
+        let b: Vec<f64> =
+            b[..k * n].iter().enumerate().map(|(i, &v)| if i % 37 == 5 { f64::INFINITY } else { v }).collect();
+        let mut so: Vec<f64> = (0..m * n).map(|i| (i as f64 * 0.13).sin()).collect();
+        let mut vo = so.clone();
+        SCALAR.matmul_tn_acc(k, m, n, &a, &b, &mut so);
+        SIMD.matmul_tn_acc(k, m, n, &a, &b, &mut vo);
+        prop_assert_eq!(so.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                        vo.iter().map(|v| v.to_bits()).collect::<Vec<_>>());
+    }
+
+    /// `matmul_acc` at widths of 32 and up, where the 32-column,
+    /// 8-accumulator block runs, followed by every narrower tail.
+    #[test]
+    fn matmul_acc_wide_parity(
+        (m, k) in (1usize..6, 1usize..34),
+        n in 32usize..=160,
+        a in vecf(5 * 33),
+        zeros in proptest::collection::vec(0u8..10, 5 * 33),
+        b in vecf(33 * 160),
+    ) {
+        let a: Vec<f64> =
+            a[..m * k].iter().zip(&zeros).map(|(&v, &z)| if z < 3 { 0.0 } else { v }).collect();
+        let b: Vec<f64> = b[..k * n]
+            .iter()
+            .enumerate()
+            .map(|(i, &v)| if i % 37 == 5 { f64::INFINITY } else { v })
+            .collect();
+        let mut so: Vec<f64> = (0..m * n).map(|i| (i as f64 * 0.07).cos()).collect();
+        let mut vo = so.clone();
+        SCALAR.matmul_acc(m, k, n, &a, &b, &mut so);
+        SIMD.matmul_acc(m, k, n, &a, &b, &mut vo);
+        prop_assert_eq!(so.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                        vo.iter().map(|v| v.to_bits()).collect::<Vec<_>>());
+    }
+
     #[test]
     fn elementwise_parity(len in 1usize..70, a in vecf(70), b in vecf(70), c in -3.0f64..3.0) {
         let (a, b) = (&a[..len], &b[..len]);
