@@ -584,8 +584,7 @@ impl<'p> Graph<'p> {
     // ---------------------------------------------------------------- inputs
 
     /// Constant input tensor (no gradient). The buffer is caller-allocated;
-    /// prefer [`Graph::input_row`]/[`Graph::input_zeros`] on hot paths so it
-    /// comes from the pool instead.
+    /// prefer [`Graph::input_row`] on hot paths so it comes from the pool.
     pub fn input(&mut self, value: Tensor) -> NodeId {
         self.push(Op::Input, value, false)
     }
@@ -594,12 +593,6 @@ impl<'p> Graph<'p> {
     pub fn input_row(&mut self, data: &[f64]) -> NodeId {
         let mut v = self.alloc_raw(1, data.len());
         v.data_mut().copy_from_slice(data);
-        self.push(Op::Input, v, false)
-    }
-
-    /// Constant all-zeros input from the pool (LSTM initial states).
-    pub fn input_zeros(&mut self, rows: usize, cols: usize) -> NodeId {
-        let v = self.alloc_zero(rows, cols);
         self.push(Op::Input, v, false)
     }
 
@@ -1689,101 +1682,12 @@ impl<'p> Graph<'p> {
                     }
                 }
                 Op::LstmSeq { inputs, wx, wh, b, hidden, chunk, at } => {
-                    // BPTT in reverse time, mirroring the unfused tape — one
-                    // cell node per step whose `[h | c]` value was split by
-                    // two `SliceCols` — operation for operation:
-                    // * dh_t is h_t's external adjoint, then the recurrent
-                    //   term dz_{t+1}·Whᵀ accumulated onto it;
-                    // * the cell saw its `[dh | dc]` adjoint through the
-                    //   slices' `0.0 +` adds, repeated here;
-                    // * steps after the last output with an adjoint never
-                    //   ran their cell, so they take no part;
-                    // * weight and bias gradients accumulate over the steps
-                    //   in reverse time order, as the per-step updates did,
-                    //   now in one k-inner matmul per weight.
-                    let (wx, wh, b, h) = (*wx, *wh, *b, *hidden);
-                    let (len, g4) = (inputs.len(), 4 * h);
-                    let (n, din) = nodes[inputs[0].0].shape;
-                    let step = n * LSTM_STATE_WIDTH * h;
-                    // Output t is the `LstmOut` node pushed t + 1 places
-                    // after this one.
-                    let out = |t: usize| i + 1 + t;
-                    let last = (0..len)
-                        .rev()
-                        .find(|&t| nodes[out(t)].grad.is_some())
-                        .expect("LstmSeq reached without an output adjoint");
-                    let active = last + 1;
-                    // Reverse-time stacks [dZ | X | H_prev], then per-step
-                    // [dh | [dh | dc] | dc | c₀ = 0].
-                    let need = active * n * (g4 + din) + last * n * h + n * 5 * h;
-                    let mut scratch = take_lstm_buf(pool, need);
-                    let (dz, rest) = scratch.data_mut().split_at_mut(active * n * g4);
-                    let (xr, rest) = rest.split_at_mut(active * n * din);
-                    let (hr, rest) = rest.split_at_mut(last * n * h);
-                    let (dh, rest) = rest.split_at_mut(n * h);
-                    let (dhc, rest) = rest.split_at_mut(n * 2 * h);
-                    let (dc, rest) = rest.split_at_mut(n * h);
-                    let c0 = &mut rest[..n * h];
-                    dc.fill(0.0);
-                    c0.fill(0.0);
-                    let state = &lstm_state[*chunk].data()[*at..*at + len * step];
-                    for t in 0..active {
-                        let r = last - t;
-                        xr[r * n * din..(r + 1) * n * din]
-                            .copy_from_slice(nodes[inputs[t].0].value.data());
-                        if t < last {
-                            // h_t is the previous state of step t + 1.
-                            let at = t * step + n * 5 * h;
-                            hr[(r - 1) * n * h..r * n * h].copy_from_slice(&state[at..at + n * h]);
-                        }
-                    }
-                    let kn = kernels::active();
-                    let (wxv, whv) = (params.value(wx).data(), params.value(wh).data());
-                    for t in (0..active).rev() {
-                        let r = last - t;
-                        match &nodes[out(t)].grad {
-                            Some(e) => dh.copy_from_slice(e.data()),
-                            None => dh.fill(0.0),
-                        }
-                        if t < last {
-                            let dz_next = &dz[(r - 1) * n * g4..r * n * g4];
-                            kn.matmul_nt_acc(n, g4, h, dz_next, whv, dh);
-                        }
-                        for row in 0..n {
-                            let dhc_row = &mut dhc[row * 2 * h..(row + 1) * 2 * h];
-                            let (dhc_h, dhc_c) = dhc_row.split_at_mut(h);
-                            for (d, v) in dhc_h.iter_mut().zip(&dh[row * h..(row + 1) * h]) {
-                                *d = 0.0 + v;
-                            }
-                            for (d, v) in dhc_c.iter_mut().zip(&dc[row * h..(row + 1) * h]) {
-                                *d = 0.0 + v;
-                            }
-                        }
-                        let gates = &state[t * step..t * step + n * 5 * h];
-                        let c_prev = if t == 0 {
-                            &*c0
-                        } else {
-                            &state[(t - 1) * step + n * 6 * h..t * step]
-                        };
-                        let dz_t = &mut dz[r * n * g4..(r + 1) * n * g4];
-                        kn.lstm_gates_backward(n, h, gates, dhc, c_prev, dz_t, dc);
-                        let x = inputs[t];
-                        if nodes[x.0].needs_grad {
-                            let mut gx = take_grad(nodes, pool, x);
-                            kn.matmul_nt_acc(n, g4, din, dz_t, wxv, gx.data_mut());
-                            nodes[x.0].grad = Some(gx);
-                        }
-                    }
-                    let gwx = grads.entry_pooled(wx, din, g4, pool.as_deref_mut());
-                    kn.matmul_tn_acc(active * n, din, g4, xr, dz, gwx.data_mut());
-                    // Step 0's previous state is h₀ = 0: no contribution.
-                    let gwh = grads.entry_pooled(wh, h, g4, pool.as_deref_mut());
-                    if last > 0 {
-                        kn.matmul_tn_acc(last * n, h, g4, hr, &dz[..last * n * g4], gwh.data_mut());
-                    }
-                    let gb = grads.entry_pooled(b, 1, g4, pool.as_deref_mut());
-                    kn.add_rows_acc(active * n, g4, dz, gb.data_mut());
-                    pool_put(pool, scratch);
+                    let step = nodes[inputs[0].0].shape.0 * LSTM_STATE_WIDTH * hidden;
+                    let state = &lstm_state[*chunk].data()[*at..*at + inputs.len() * step];
+                    let weights = (*wx, *wh, *b);
+                    lstm_seq_backward(
+                        i, inputs, weights, *hidden, state, nodes, pool, params, grads,
+                    );
                 }
             }
             if let (Some(p), Some(mark)) = (profiler.as_deref_mut(), bwd_mark) {
@@ -1793,6 +1697,133 @@ impl<'p> Graph<'p> {
             nodes[i].grad = Some(g);
         }
     }
+}
+
+/// Backward of the `LstmSeq` node at tape index `i`: BPTT in reverse time,
+/// mirroring the unfused tape — one cell node per step whose `[h | c]` value
+/// was split by two `SliceCols` — operation for operation:
+/// * `dh_t` is `h_t`'s external adjoint, then the recurrent term
+///   `dz_{t+1}·Whᵀ` accumulated onto it;
+/// * the cell saw its `[dh | dc]` adjoint through the slices' `0.0 +` adds,
+///   repeated here;
+/// * steps after the last output with an adjoint never ran their cell, so
+///   they take no part;
+/// * weight and bias gradients accumulate over the steps in reverse time
+///   order, as the per-step updates did, now in one k-inner matmul per
+///   weight; input adjoints `dz_t·Wxᵀ` land on each input's adjoint as the
+///   per-step cells left them, in one multi-row matmul.
+#[allow(clippy::too_many_arguments)]
+fn lstm_seq_backward(
+    i: usize,
+    inputs: &[NodeId],
+    (wx, wh, b): (ParamId, ParamId, ParamId),
+    h: usize,
+    state: &[f64],
+    nodes: &mut [Node],
+    pool: &mut Option<&mut TensorPool>,
+    params: &Parameters,
+    grads: &mut GradStore,
+) {
+    let (len, g4) = (inputs.len(), 4 * h);
+    let (n, din) = nodes[inputs[0].0].shape;
+    let step = n * LSTM_STATE_WIDTH * h;
+    // Output t is the `LstmOut` node pushed t + 1 places after this one.
+    let out = |t: usize| i + 1 + t;
+    let last = (0..len)
+        .rev()
+        .find(|&t| nodes[out(t)].grad.is_some())
+        .expect("LstmSeq reached without an output adjoint");
+    let active = last + 1;
+    // Reverse-time stacks [dZ | X | H_prev], then per-step
+    // [dh | [dh | dc] | dc | c₀ = 0].
+    let mut scratch = take_lstm_buf(pool, active * n * (g4 + din) + last * n * h + n * 5 * h);
+    let (dz, rest) = scratch.data_mut().split_at_mut(active * n * g4);
+    let (xr, rest) = rest.split_at_mut(active * n * din);
+    let (hr, rest) = rest.split_at_mut(last * n * h);
+    let (dh, rest) = rest.split_at_mut(n * h);
+    let (dhc, rest) = rest.split_at_mut(n * 2 * h);
+    let (dc, rest) = rest.split_at_mut(n * h);
+    let c0 = &mut rest[..n * h];
+    dc.fill(0.0);
+    c0.fill(0.0);
+    for t in 0..active {
+        let r = last - t;
+        xr[r * n * din..(r + 1) * n * din].copy_from_slice(nodes[inputs[t].0].value.data());
+        if t < last {
+            // h_t is the previous state of step t + 1.
+            let at = t * step + n * 5 * h;
+            hr[(r - 1) * n * h..r * n * h].copy_from_slice(&state[at..at + n * h]);
+        }
+    }
+    let kn = kernels::active();
+    let (wxv, whv) = (params.value(wx).data(), params.value(wh).data());
+    for t in (0..active).rev() {
+        let r = last - t;
+        match &nodes[out(t)].grad {
+            Some(e) => dh.copy_from_slice(e.data()),
+            None => dh.fill(0.0),
+        }
+        if t < last {
+            kn.matmul_nt_acc(n, g4, h, &dz[(r - 1) * n * g4..r * n * g4], whv, dh);
+        }
+        for row in 0..n {
+            let (dhc_h, dhc_c) = dhc[row * 2 * h..(row + 1) * 2 * h].split_at_mut(h);
+            for (d, v) in dhc_h.iter_mut().zip(&dh[row * h..(row + 1) * h]) {
+                *d = 0.0 + v;
+            }
+            for (d, v) in dhc_c.iter_mut().zip(&dc[row * h..(row + 1) * h]) {
+                *d = 0.0 + v;
+            }
+        }
+        let gates = &state[t * step..t * step + n * 5 * h];
+        let c_prev = if t == 0 { &*c0 } else { &state[(t - 1) * step + n * 6 * h..t * step] };
+        let dz_t = &mut dz[r * n * g4..(r + 1) * n * g4];
+        kn.lstm_gates_backward(n, h, gates, dhc, c_prev, dz_t, dc);
+    }
+    let gwx = grads.entry_pooled(wx, din, g4, pool.as_deref_mut());
+    kn.matmul_tn_acc(active * n, din, g4, xr, dz, gwx.data_mut());
+    // Step 0's previous state is h₀ = 0: no contribution.
+    let gwh = grads.entry_pooled(wh, h, g4, pool.as_deref_mut());
+    if last > 0 {
+        kn.matmul_tn_acc(last * n, h, g4, hr, &dz[..last * n * g4], gwh.data_mut());
+    }
+    let gb = grads.entry_pooled(b, 1, g4, pool.as_deref_mut());
+    kn.add_rows_acc(active * n, g4, dz, gb.data_mut());
+
+    let inputs = &inputs[..active];
+    if inputs.iter().any(|x| nodes[x.0].needs_grad) {
+        let block = |t: usize| (last - t) * n * din..(last - t + 1) * n * din;
+        if (1..active).all(|t| !inputs[..t].contains(&inputs[t])) {
+            // Distinct inputs: seed the (no longer needed) input stack with
+            // their adjoints, add every step's dz_t·Wxᵀ at once, copy back.
+            let dxs = xr;
+            for (t, x) in inputs.iter().enumerate() {
+                match &nodes[x.0].grad {
+                    Some(gx) => dxs[block(t)].copy_from_slice(gx.data()),
+                    None => dxs[block(t)].fill(0.0),
+                }
+            }
+            kn.matmul_nt_acc(active * n, g4, din, dz, wxv, dxs);
+            for (t, &x) in inputs.iter().enumerate() {
+                if nodes[x.0].needs_grad {
+                    let mut gx = take_grad(nodes, pool, x);
+                    gx.data_mut().copy_from_slice(&dxs[block(t)]);
+                    nodes[x.0].grad = Some(gx);
+                }
+            }
+        } else {
+            // A node fed to several steps takes them in reverse time order.
+            for (t, &x) in inputs.iter().enumerate().rev() {
+                if nodes[x.0].needs_grad {
+                    let mut gx = take_grad(nodes, pool, x);
+                    let dz_t = &dz[(last - t) * n * g4..(last - t + 1) * n * g4];
+                    kn.matmul_nt_acc(n, g4, din, dz_t, wxv, gx.data_mut());
+                    nodes[x.0].grad = Some(gx);
+                }
+            }
+        }
+    }
+    pool_put(pool, scratch);
 }
 
 #[cfg(test)]
@@ -2083,8 +2114,8 @@ mod tests {
         let wx = g2.param(ids[0]);
         let wh = g2.param(ids[1]);
         let b = g2.param(ids[2]);
-        let mut h = g2.input_zeros(1, hidden);
-        let mut c = g2.input_zeros(1, hidden);
+        let mut h = g2.input(Tensor::zeros(1, hidden));
+        let mut c = g2.input(Tensor::zeros(1, hidden));
         let mut hs = Vec::new();
         for t in 0..len {
             let x = g2.embed_lookup(ids[3], &[t]);

@@ -874,6 +874,11 @@ mod avx2 {
     /// its original value — exactly the scalar i-k-j order — and the
     /// `a == 0.0` skip is retained. `a_stride` is 1 for a row of `a`
     /// ([`matmul_acc`]) and `m` for a column of `aᵀ` ([`matmul_tn_acc`]).
+    ///
+    /// # Safety
+    /// The CPU supports AVX2 and FMA; `acol` is readable at `kk · a_stride`
+    /// for every `kk < k`, `bp` at `kk · ldb + j` and `crow` readable and
+    /// writable at `j` for every `kk < k`, `j < n`.
     #[inline]
     #[target_feature(enable = "avx2,fma")]
     unsafe fn row_times_b(
@@ -975,6 +980,9 @@ mod avx2 {
     /// blocks: each load of `b` feeds both rows, halving the `b` traffic. The
     /// zero skip stays per row and per `kk`, so every element still sees the
     /// scalar sequence of fused multiply-adds. Returns the columns done.
+    ///
+    /// # Safety
+    /// As for [`row_times_b`] with `ldb = n`, for both rows.
     #[inline]
     #[target_feature(enable = "avx2,fma")]
     #[allow(clippy::too_many_arguments)]
@@ -1037,6 +1045,10 @@ mod avx2 {
     /// row `i` reads `a` from `a_row(i)` with stride `a_stride`: rows in
     /// pairs through [`two_rows_times_b`], remaining columns and an odd last
     /// row through [`row_times_b`].
+    ///
+    /// # Safety
+    /// As for [`row_times_b`] for every row `i < m` with `acol = a_row(i)`,
+    /// `ldb = n` and `crow = out + i · n`.
     #[inline]
     #[target_feature(enable = "avx2,fma")]
     unsafe fn rows_times_b(
@@ -1063,7 +1075,10 @@ mod avx2 {
         }
     }
 
-    /// `out (m×n) += a (m×k) · b (k×n)`, one [`row_times_b`] per output row.
+    /// `out (m×n) += a (m×k) · b (k×n)` through [`rows_times_b`].
+    ///
+    /// # Safety
+    /// The CPU supports AVX2 and FMA (slice lengths are checked).
     #[target_feature(enable = "avx2,fma")]
     pub unsafe fn matmul_acc(m: usize, k: usize, n: usize, a: &[f64], b: &[f64], out: &mut [f64]) {
         assert!(a.len() >= m * k && b.len() >= k * n && out.len() >= m * n);
@@ -1076,6 +1091,9 @@ mod avx2 {
     /// per `kk` as in the scalar rank-1 loop. Per element the fused
     /// multiply-adds still run in ascending `kk` with the same `a == 0.0`
     /// skip, so the result is bit-identical to [`scalar::matmul_tn_acc`].
+    ///
+    /// # Safety
+    /// The CPU supports AVX2 and FMA (slice lengths are checked).
     #[target_feature(enable = "avx2,fma")]
     pub unsafe fn matmul_tn_acc(
         k: usize,
@@ -1104,8 +1122,12 @@ mod avx2 {
     }
 
     /// `out += a · bᵀ` — the reduction kernel. Each output column is the
-    /// interleaved [`scalar::dot`]; eight columns run at once so eight
-    /// independent FMA chains share every load of `a`.
+    /// interleaved [`scalar::dot`]. Rows run in pairs, four columns at a
+    /// time, so each load of `b` feeds two FMA chains; an odd last row runs
+    /// eight columns at once so eight chains share every load of `a`.
+    ///
+    /// # Safety
+    /// The CPU supports AVX2 and FMA (slice lengths are checked).
     #[target_feature(enable = "avx2,fma")]
     pub unsafe fn matmul_nt_acc(
         m: usize,
@@ -1115,7 +1137,68 @@ mod avx2 {
         b: &[f64],
         out: &mut [f64],
     ) {
-        for i in 0..m {
+        assert!(a.len() >= m * d && b.len() >= n * d && out.len() >= m * n);
+        let pairs = m / 2;
+        for p in 0..pairs {
+            let (a0, a1) = (a.as_ptr().add(2 * p * d), a.as_ptr().add((2 * p + 1) * d));
+            let (c0, c1) = (out.as_mut_ptr().add(2 * p * n), out.as_mut_ptr().add((2 * p + 1) * n));
+            let mut j = 0;
+            while j + 4 <= n {
+                let (b0, b1) = (b.as_ptr().add(j * d), b.as_ptr().add((j + 1) * d));
+                let (b2, b3) = (b.as_ptr().add((j + 2) * d), b.as_ptr().add((j + 3) * d));
+                let (mut x0, mut x1, mut x2, mut x3) = (
+                    _mm256_setzero_pd(),
+                    _mm256_setzero_pd(),
+                    _mm256_setzero_pd(),
+                    _mm256_setzero_pd(),
+                );
+                let (mut y0, mut y1, mut y2, mut y3) = (
+                    _mm256_setzero_pd(),
+                    _mm256_setzero_pd(),
+                    _mm256_setzero_pd(),
+                    _mm256_setzero_pd(),
+                );
+                let mut kk = 0;
+                while kk + 4 <= d {
+                    let (u, v) = (_mm256_loadu_pd(a0.add(kk)), _mm256_loadu_pd(a1.add(kk)));
+                    let vb = _mm256_loadu_pd(b0.add(kk));
+                    x0 = _mm256_fmadd_pd(u, vb, x0);
+                    y0 = _mm256_fmadd_pd(v, vb, y0);
+                    let vb = _mm256_loadu_pd(b1.add(kk));
+                    x1 = _mm256_fmadd_pd(u, vb, x1);
+                    y1 = _mm256_fmadd_pd(v, vb, y1);
+                    let vb = _mm256_loadu_pd(b2.add(kk));
+                    x2 = _mm256_fmadd_pd(u, vb, x2);
+                    y2 = _mm256_fmadd_pd(v, vb, y2);
+                    let vb = _mm256_loadu_pd(b3.add(kk));
+                    x3 = _mm256_fmadd_pd(u, vb, x3);
+                    y3 = _mm256_fmadd_pd(v, vb, y3);
+                    kk += 4;
+                }
+                let mut sx = [hsum_dot(x0), hsum_dot(x1), hsum_dot(x2), hsum_dot(x3)];
+                let mut sy = [hsum_dot(y0), hsum_dot(y1), hsum_dot(y2), hsum_dot(y3)];
+                while kk < d {
+                    let (u, v) = (*a0.add(kk), *a1.add(kk));
+                    for (q, bq) in [b0, b1, b2, b3].into_iter().enumerate() {
+                        sx[q] = u.mul_add(*bq.add(kk), sx[q]);
+                        sy[q] = v.mul_add(*bq.add(kk), sy[q]);
+                    }
+                    kk += 1;
+                }
+                for q in 0..4 {
+                    *c0.add(j + q) += sx[q];
+                    *c1.add(j + q) += sy[q];
+                }
+                j += 4;
+            }
+            while j < n {
+                let brow = core::slice::from_raw_parts(b.as_ptr().add(j * d), d);
+                *c0.add(j) += scalar::dot(core::slice::from_raw_parts(a0, d), brow);
+                *c1.add(j) += scalar::dot(core::slice::from_raw_parts(a1, d), brow);
+                j += 1;
+            }
+        }
+        for i in 2 * pairs..m {
             let arow = a.as_ptr().add(i * d);
             let crow = out.as_mut_ptr().add(i * n);
             let mut j = 0;

@@ -585,6 +585,29 @@ fn lstm_seq_prefix_grad() {
     }
 }
 
+/// One input node fed to every step: its adjoint collects all steps' terms.
+#[test]
+fn lstm_seq_repeated_input_grad() {
+    let mut rng = rng();
+    let mut p = Parameters::new();
+    let lstm = Lstm::new(&mut p, &mut rng, "lstm", 2, 3, 2);
+    let x = p.register("x", rand_tensor(&mut rng, 1, 2));
+    assert_gradients_close(
+        &mut p,
+        |p| {
+            let mut g = Graph::new(p);
+            let xn = g.param(x);
+            let hs = lstm.forward(&mut g, &[xn, xn, xn, xn]);
+            let stacked = g.concat_rows(&hs);
+            let sq = g.mul(stacked, stacked);
+            let l = g.sum_all(sq);
+            g.finish(l)
+        },
+        EPS,
+        TOL,
+    );
+}
+
 /// In-place variants must be gradient-identical to their allocating forms,
 /// both when the steal succeeds (fresh single-consumer operands) and when it
 /// falls back (operand op whose backward reads its own output).
