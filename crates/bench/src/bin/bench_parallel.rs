@@ -539,14 +539,14 @@ fn main() {
     println!("wrote BENCH_parallel.json");
 
     // Backend comparison. The LSTM matmul shapes at reproduction scale (input
-    // width 51, four gates of hidden 32): the per-step recurrent `h·Wh`, and
-    // per 8-step path the stacked forward `X·Wx`, the input adjoints `dZ·Wxᵀ`
-    // (`nt`) and the weight gradient `Xᵀ·dZ` (`tn`, k = 8), next to the k = 1
+    // width 51, four gates of hidden 32): the per-step recurrent `h·Wh` and
+    // input adjoint `dz·Wxᵀ` (`nt`), and per 8-step path the stacked forward
+    // `X·Wx` and the weight gradient `Xᵀ·dZ` (`tn`, k = 8), next to the k = 1
     // `tn` update one step at a time, and a batch-16 `x·Wx`.
     let matmul = vec![
         matmul_rate("matmul_acc", 1, 32, 128),
         matmul_rate("matmul_acc", 8, 51, 128),
-        matmul_rate("matmul_nt_acc", 8, 128, 51),
+        matmul_rate("matmul_nt_acc", 1, 128, 51),
         matmul_rate("matmul_tn_acc", 51, 8, 128),
         matmul_rate("matmul_tn_acc", 51, 1, 128),
         matmul_rate("matmul_acc", 16, 51, 128),

@@ -1710,8 +1710,8 @@ impl<'p> Graph<'p> {
 ///   they take no part;
 /// * weight and bias gradients accumulate over the steps in reverse time
 ///   order, as the per-step updates did, now in one k-inner matmul per
-///   weight; input adjoints `dz_t·Wxᵀ` land on each input's adjoint as the
-///   per-step cells left them, in one multi-row matmul.
+///   weight; input adjoints `dz_t·Wxᵀ` land on each input's adjoint one
+///   step at a time in reverse time order, as the per-step cells left them.
 #[allow(clippy::too_many_arguments)]
 fn lstm_seq_backward(
     i: usize,
@@ -1790,37 +1790,14 @@ fn lstm_seq_backward(
     let gb = grads.entry_pooled(b, 1, g4, pool.as_deref_mut());
     kn.add_rows_acc(active * n, g4, dz, gb.data_mut());
 
-    let inputs = &inputs[..active];
-    if inputs.iter().any(|x| nodes[x.0].needs_grad) {
-        let block = |t: usize| (last - t) * n * din..(last - t + 1) * n * din;
-        if (1..active).all(|t| !inputs[..t].contains(&inputs[t])) {
-            // Distinct inputs: seed the (no longer needed) input stack with
-            // their adjoints, add every step's dz_t·Wxᵀ at once, copy back.
-            let dxs = xr;
-            for (t, x) in inputs.iter().enumerate() {
-                match &nodes[x.0].grad {
-                    Some(gx) => dxs[block(t)].copy_from_slice(gx.data()),
-                    None => dxs[block(t)].fill(0.0),
-                }
-            }
-            kn.matmul_nt_acc(active * n, g4, din, dz, wxv, dxs);
-            for (t, &x) in inputs.iter().enumerate() {
-                if nodes[x.0].needs_grad {
-                    let mut gx = take_grad(nodes, pool, x);
-                    gx.data_mut().copy_from_slice(&dxs[block(t)]);
-                    nodes[x.0].grad = Some(gx);
-                }
-            }
-        } else {
-            // A node fed to several steps takes them in reverse time order.
-            for (t, &x) in inputs.iter().enumerate().rev() {
-                if nodes[x.0].needs_grad {
-                    let mut gx = take_grad(nodes, pool, x);
-                    let dz_t = &dz[(last - t) * n * g4..(last - t + 1) * n * g4];
-                    kn.matmul_nt_acc(n, g4, din, dz_t, wxv, gx.data_mut());
-                    nodes[x.0].grad = Some(gx);
-                }
-            }
+    // Input adjoints dz_t·Wxᵀ in reverse time order, as the per-step cells
+    // left them (an input fed to several steps sees the same sequence).
+    for (t, &x) in inputs[..active].iter().enumerate().rev() {
+        if nodes[x.0].needs_grad {
+            let mut gx = take_grad(nodes, pool, x);
+            let dz_t = &dz[(last - t) * n * g4..(last - t + 1) * n * g4];
+            kn.matmul_nt_acc(n, g4, din, dz_t, wxv, gx.data_mut());
+            nodes[x.0].grad = Some(gx);
         }
     }
     pool_put(pool, scratch);

@@ -1122,9 +1122,8 @@ mod avx2 {
     }
 
     /// `out += a · bᵀ` — the reduction kernel. Each output column is the
-    /// interleaved [`scalar::dot`]. Rows run in pairs, four columns at a
-    /// time, so each load of `b` feeds two FMA chains; an odd last row runs
-    /// eight columns at once so eight chains share every load of `a`.
+    /// interleaved [`scalar::dot`]; eight columns run at once so eight
+    /// independent FMA chains share every load of `a`.
     ///
     /// # Safety
     /// The CPU supports AVX2 and FMA (slice lengths are checked).
@@ -1138,67 +1137,7 @@ mod avx2 {
         out: &mut [f64],
     ) {
         assert!(a.len() >= m * d && b.len() >= n * d && out.len() >= m * n);
-        let pairs = m / 2;
-        for p in 0..pairs {
-            let (a0, a1) = (a.as_ptr().add(2 * p * d), a.as_ptr().add((2 * p + 1) * d));
-            let (c0, c1) = (out.as_mut_ptr().add(2 * p * n), out.as_mut_ptr().add((2 * p + 1) * n));
-            let mut j = 0;
-            while j + 4 <= n {
-                let (b0, b1) = (b.as_ptr().add(j * d), b.as_ptr().add((j + 1) * d));
-                let (b2, b3) = (b.as_ptr().add((j + 2) * d), b.as_ptr().add((j + 3) * d));
-                let (mut x0, mut x1, mut x2, mut x3) = (
-                    _mm256_setzero_pd(),
-                    _mm256_setzero_pd(),
-                    _mm256_setzero_pd(),
-                    _mm256_setzero_pd(),
-                );
-                let (mut y0, mut y1, mut y2, mut y3) = (
-                    _mm256_setzero_pd(),
-                    _mm256_setzero_pd(),
-                    _mm256_setzero_pd(),
-                    _mm256_setzero_pd(),
-                );
-                let mut kk = 0;
-                while kk + 4 <= d {
-                    let (u, v) = (_mm256_loadu_pd(a0.add(kk)), _mm256_loadu_pd(a1.add(kk)));
-                    let vb = _mm256_loadu_pd(b0.add(kk));
-                    x0 = _mm256_fmadd_pd(u, vb, x0);
-                    y0 = _mm256_fmadd_pd(v, vb, y0);
-                    let vb = _mm256_loadu_pd(b1.add(kk));
-                    x1 = _mm256_fmadd_pd(u, vb, x1);
-                    y1 = _mm256_fmadd_pd(v, vb, y1);
-                    let vb = _mm256_loadu_pd(b2.add(kk));
-                    x2 = _mm256_fmadd_pd(u, vb, x2);
-                    y2 = _mm256_fmadd_pd(v, vb, y2);
-                    let vb = _mm256_loadu_pd(b3.add(kk));
-                    x3 = _mm256_fmadd_pd(u, vb, x3);
-                    y3 = _mm256_fmadd_pd(v, vb, y3);
-                    kk += 4;
-                }
-                let mut sx = [hsum_dot(x0), hsum_dot(x1), hsum_dot(x2), hsum_dot(x3)];
-                let mut sy = [hsum_dot(y0), hsum_dot(y1), hsum_dot(y2), hsum_dot(y3)];
-                while kk < d {
-                    let (u, v) = (*a0.add(kk), *a1.add(kk));
-                    for (q, bq) in [b0, b1, b2, b3].into_iter().enumerate() {
-                        sx[q] = u.mul_add(*bq.add(kk), sx[q]);
-                        sy[q] = v.mul_add(*bq.add(kk), sy[q]);
-                    }
-                    kk += 1;
-                }
-                for q in 0..4 {
-                    *c0.add(j + q) += sx[q];
-                    *c1.add(j + q) += sy[q];
-                }
-                j += 4;
-            }
-            while j < n {
-                let brow = core::slice::from_raw_parts(b.as_ptr().add(j * d), d);
-                *c0.add(j) += scalar::dot(core::slice::from_raw_parts(a0, d), brow);
-                *c1.add(j) += scalar::dot(core::slice::from_raw_parts(a1, d), brow);
-                j += 1;
-            }
-        }
-        for i in 2 * pairs..m {
+        for i in 0..m {
             let arow = a.as_ptr().add(i * d);
             let crow = out.as_mut_ptr().add(i * n);
             let mut j = 0;
@@ -2235,13 +2174,6 @@ impl Kernels for SimdKernels {
     }
 
     fn matmul_tn_acc(&self, k: usize, m: usize, n: usize, a: &[f64], b: &[f64], out: &mut [f64]) {
-        // A single-row update (k = 1) is a row of fused axpys that LLVM
-        // autovectorizes well from the (FMA-dispatched) scalar body; from
-        // k = 2 on, the k-inner tiled kernel keeps `out` in registers.
-        if k < 2 {
-            scalar::matmul_tn_acc(k, m, n, a, b, out);
-            return;
-        }
         simd_or_scalar!(
             avx2::matmul_tn_acc(k, m, n, a, b, out),
             scalar::matmul_tn_acc(k, m, n, a, b, out)
