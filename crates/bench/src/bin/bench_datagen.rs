@@ -1,5 +1,6 @@
 //! `bench_datagen` — measure streaming-generation throughput per tier and
-//! record it in `BENCH_datagen.json` (schema: [`wsccl_bench::DatagenBench`]).
+//! record it in `BENCH_datagen.json` (a [`wsccl_bench::record`] with no
+//! contracts; the body is [`DatagenBench`]).
 //!
 //! Each tier is written through [`wsccl_datagen::write_dataset`] to a
 //! temporary `.wsccl-ds` file (deleted afterwards), so the numbers reflect the
@@ -9,9 +10,31 @@
 
 use std::time::Instant;
 
+use serde::Serialize;
 use wsccl_bench::runner::WORLD_SEED;
-use wsccl_bench::{datagen_tiers, DatagenBench, DatagenTierResult, Scale};
+use wsccl_bench::{datagen_tiers, record, Scale};
 use wsccl_datagen::{write_dataset, StreamConfig};
+
+/// One measured tier.
+#[derive(Serialize)]
+struct DatagenTierResult {
+    tier: String,
+    city: String,
+    threads: usize,
+    /// Accepted records across all sections.
+    records: usize,
+    seconds: f64,
+    paths_per_sec: f64,
+    /// Peak process RSS after the tier ran (0 when the platform can't say).
+    peak_rss_bytes: u64,
+    /// Size of the written `.wsccl-ds` file.
+    file_bytes: u64,
+}
+
+#[derive(Serialize)]
+struct DatagenBench {
+    tiers: Vec<DatagenTierResult>,
+}
 
 fn main() {
     let scale = Scale::from_env();
@@ -53,14 +76,10 @@ fn main() {
         tiers.push(res);
     }
 
-    let bench = DatagenBench { datagen_version: wsccl_datagen::VERSION.to_string(), tiers };
-    if let Err(e) = bench.save() {
+    let n = tiers.len();
+    if let Err(e) = record::save("BENCH_datagen.json", &[], &DatagenBench { tiers }) {
         eprintln!("[bench_datagen] failed to write BENCH_datagen.json: {e}");
         std::process::exit(1);
     }
-    println!(
-        "wrote BENCH_datagen.json ({} tiers, datagen {})",
-        bench.tiers.len(),
-        bench.datagen_version
-    );
+    println!("wrote BENCH_datagen.json ({n} tiers)");
 }

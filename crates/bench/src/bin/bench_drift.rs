@@ -1,6 +1,7 @@
 //! `bench_drift` — the continual-learning drift dashboard. Simulates a short
 //! drift episode and records, per day, embedding-quality decay vs. re-training
-//! cadence in `BENCH_drift.json` (schema: [`wsccl_bench::DriftBench`]).
+//! cadence in `BENCH_drift.json` (a [`wsccl_bench::record`]; the body is
+//! [`DriftBench`]).
 //!
 //! Two tracks run over the same deterministic drift episode:
 //!
@@ -20,11 +21,10 @@
 //! rises; re-training pulls it back down.
 //! `recovery = (mae_before - mae_after) / (mae_before - mae_full)` (capped
 //! at 1, and defined as 1 when the full re-train finds no error to recover);
-//! `step_cost = retrain_steps / full_steps`. The contract — warm-start +
+//! `step_cost = retrain_steps / full_steps`. The contracts — warm-start +
 //! replay recovers ≥ 80% of the drift-induced drop at ≤ 30% of the full
-//! re-train step cost — is asserted on the episode means; override with
-//! `WSCCL_DRIFT_MIN_RECOVERY` / `WSCCL_DRIFT_MAX_COST`. Episode length
-//! defaults to 3 days (`WSCCL_DRIFT_DAYS`).
+//! re-train step cost — hold on the means over a 3-day episode; the binary
+//! exits 1 when either fails.
 //!
 //! The episode's JSONL run log (drift/retrain phases, per-step records)
 //! lands in `results/runs/drift-bench.jsonl`; the dashboard table in
@@ -33,50 +33,74 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use wsccl_bench::runner::WORLD_SEED;
-use wsccl_bench::{DriftBench, DriftDayRow, Scale, Table};
+use serde::Serialize;
+use wsccl_bench::record::{self, Contract};
+use wsccl_bench::runner::{expected_travel_time, WORLD_SEED};
+use wsccl_bench::{Scale, Table};
 use wsccl_core::encoder::{EncoderConfig, TemporalPathEncoder};
 use wsccl_core::{ContinualConfig, ContinualTrainer, WscModel, WscclConfig};
 use wsccl_datagen::{CityDataset, TemporalPathSample};
 use wsccl_downstream::task::{kfold_modulo_mae, EtaRegression};
 use wsccl_obs::{AnomalyGuard, AnomalyPolicy};
-use wsccl_roadnet::{CityProfile, Path, RoadNetwork};
-use wsccl_traffic::{CongestionModel, SimTime, TciLabeler};
+use wsccl_roadnet::{CityProfile, RoadNetwork};
+use wsccl_traffic::{CongestionModel, TciLabeler};
 use wsccl_train::{run_log_path, JsonlObserver};
 
-/// Epochs of the scratch full re-train each day (`WSCCL_DRIFT_FULL_EPOCHS`).
-/// Together with the growing corpus this sets the step budget the
-/// incremental track is measured against.
+/// Simulated days in the episode.
+const DAYS: u64 = 3;
+/// Epochs of the scratch full re-train each day. Together with the growing
+/// corpus this sets the step budget the incremental track is measured
+/// against.
 const FULL_EPOCHS: usize = 8;
-/// Epochs of the day-0 base pre-train (`WSCCL_DRIFT_BASE_EPOCHS`).
+/// Epochs of the day-0 base pre-train.
 const BASE_EPOCHS: usize = 8;
 /// Incremental re-training learning rate as a fraction of the from-scratch
-/// rate (`WSCCL_DRIFT_LR_SCALE`).
+/// rate.
 const LR_SCALE: f64 = 0.25;
-/// Incremental full-pool re-train epochs per day (`WSCCL_DRIFT_RETRAIN_EPOCHS`).
+/// Incremental full-pool re-train epochs per day.
 const RETRAIN_EPOCHS: usize = 2;
+/// Contract: mean recovery of the drift-induced drop, at least.
+const MIN_RECOVERY: f64 = 0.8;
+/// Contract: mean incremental step cost as a fraction of a full re-train,
+/// at most.
+const MAX_STEP_COST: f64 = 0.3;
 
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
+/// One simulated day of the drift episode.
+#[derive(Serialize)]
+struct DriftDayRow {
+    day: u64,
+    /// Incidents placed that day.
+    incidents: usize,
+    /// Edges under roadworks that day.
+    works_edges: usize,
+    /// Seasonal peak shift, hours.
+    peak_shift: f64,
+    /// Probe ETA MAE of the stale model on that day's data.
+    quality_before: f64,
+    /// Probe ETA MAE after incremental re-training (warm-start + replay).
+    quality_after: f64,
+    /// Probe ETA MAE of a scratch full re-train on the same pool (ceiling).
+    quality_full: f64,
+    /// Optimizer steps of the incremental re-train.
+    retrain_steps: u64,
+    /// Optimizer steps of the scratch full re-train.
+    full_steps: u64,
+    /// `(before - after) / (before - full)`, capped at 1, and 1 when the
+    /// full re-train shows no drop to recover.
+    recovery: f64,
+    /// `retrain_steps / full_steps`.
+    step_cost: f64,
+    /// Anomaly-guard events raised during re-training.
+    anomalies: usize,
 }
 
-/// Noise-free expected travel time of `path` departing at `departure` under
-/// `model` — the traversal recurrence of `traverse_with` minus its
-/// multiplicative noise.
-fn expected_time(
-    net: &RoadNetwork,
-    model: &CongestionModel,
-    path: &Path,
-    departure: SimTime,
-) -> f64 {
-    let mut t = departure;
-    let mut total = 0.0;
-    for &e in path.edges() {
-        let dt = model.edge_travel_time(net, e, t);
-        total += dt;
-        t = t.advance(dt);
-    }
-    total
+#[derive(Serialize)]
+struct DriftBench {
+    days: Vec<DriftDayRow>,
+    mean_recovery: f64,
+    mean_step_cost: f64,
+    /// JSONL run log of the episode (drift/retrain phases, step records).
+    run_log: String,
 }
 
 /// Embedding-quality probe: 4-fold cross-validated MAE of an
@@ -92,22 +116,15 @@ fn tte_probe_mae(
     samples: &[TemporalPathSample],
 ) -> f64 {
     let x: Vec<Vec<f64>> = samples.iter().map(|s| model.embed(&s.path, s.departure)).collect();
-    let y: Vec<f64> =
-        samples.iter().map(|s| expected_time(net, day_model, &s.path, s.departure)).collect();
+    let y: Vec<f64> = samples
+        .iter()
+        .map(|s| expected_travel_time(net, day_model, &s.path, s.departure))
+        .collect();
     kfold_modulo_mae(&EtaRegression::default(), &x, &y, 4)
 }
 
-fn env_f64(name: &str, default: f64) -> f64 {
-    std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
-}
-
 fn main() {
-    let days: u64 =
-        std::env::var("WSCCL_DRIFT_DAYS").ok().and_then(|v| v.parse().ok()).unwrap_or(3);
-    let min_recovery = env_f64("WSCCL_DRIFT_MIN_RECOVERY", 0.8);
-    let max_cost = env_f64("WSCCL_DRIFT_MAX_COST", 0.3);
-
-    eprintln!("[bench_drift] {days}-day episode, seed {WORLD_SEED}");
+    eprintln!("[bench_drift] {DAYS}-day episode, seed {WORLD_SEED}");
     let t0 = Instant::now();
     let ds = CityDataset::generate(&Scale::Tiny.dataset(CityProfile::Aalborg, WORLD_SEED));
     let encoder = Arc::new(TemporalPathEncoder::new(&ds.net, EncoderConfig::default(), WORLD_SEED));
@@ -117,13 +134,13 @@ fn main() {
     // un-drifted congestion, then handed to the continual trainer.
     let base_labeler = TciLabeler::new(&ds.net, &ds.congestion);
     let mut model = WscModel::new(Arc::clone(&encoder), cfg.clone(), WORLD_SEED);
-    model.train(&ds.unlabeled, &base_labeler, env_usize("WSCCL_DRIFT_BASE_EPOCHS", BASE_EPOCHS));
+    model.train(&ds.unlabeled, &base_labeler, BASE_EPOCHS);
     let episode = ContinualConfig {
         fresh_per_day: 128,
         eval_per_day: 128,
         replay_capacity: 128,
-        retrain_epochs: env_usize("WSCCL_DRIFT_RETRAIN_EPOCHS", RETRAIN_EPOCHS),
-        retrain_lr_scale: env_f64("WSCCL_DRIFT_LR_SCALE", LR_SCALE),
+        retrain_epochs: RETRAIN_EPOCHS,
+        retrain_lr_scale: LR_SCALE,
         ..ContinualConfig::tiny(WORLD_SEED)
     };
     let mut ct = ContinualTrainer::new(model, WORLD_SEED, ds.congestion.clone(), episode);
@@ -150,7 +167,7 @@ fn main() {
         ],
     );
 
-    for day in 0..days {
+    for day in 0..DAYS {
         // Full-retrain ceiling: scratch weights, accumulated corpus (incl.
         // today's fresh collection), current day's labeler, same eval set.
         let (fresh, eval) = ct.day_samples(&ds.net, day);
@@ -158,7 +175,7 @@ fn main() {
         let day_labeler = TciLabeler::new(&ds.net, &day_model);
         corpus.extend(fresh.iter().cloned());
         let mut full = WscModel::new(Arc::clone(&encoder), cfg.clone(), WORLD_SEED ^ day);
-        full.train(&corpus, &day_labeler, env_usize("WSCCL_DRIFT_FULL_EPOCHS", FULL_EPOCHS));
+        full.train(&corpus, &day_labeler, FULL_EPOCHS);
         let quality_full = tte_probe_mae(&full, &ds.net, &day_model, &eval);
         let full_steps = full.global_step();
 
@@ -211,30 +228,24 @@ fn main() {
     let n = rows.len().max(1) as f64;
     let mean_recovery = rows.iter().map(|r| r.recovery).sum::<f64>() / n;
     let mean_step_cost = rows.iter().map(|r| r.step_cost).sum::<f64>() / n;
+    let contracts = [
+        Contract::at_least("mean_recovery", mean_recovery, MIN_RECOVERY),
+        Contract::at_most("mean_step_cost", mean_step_cost, MAX_STEP_COST),
+    ];
     let bench = DriftBench {
-        traffic_version: wsccl_traffic::VERSION.to_string(),
         days: rows,
         mean_recovery,
         mean_step_cost,
         run_log: run_log_path("drift-bench").display().to_string(),
     };
-    if let Err(e) = bench.save() {
+    if let Err(e) = record::save("BENCH_drift.json", &contracts, &bench) {
         eprintln!("[bench_drift] failed to write BENCH_drift.json: {e}");
         std::process::exit(1);
     }
     println!(
         "wrote BENCH_drift.json: mean recovery {mean_recovery:.2}, mean step cost \
-         {mean_step_cost:.2} over {days} days in {:.1?}",
+         {mean_step_cost:.2} over {DAYS} days in {:.1?}",
         t0.elapsed()
     );
-    if mean_recovery < min_recovery {
-        eprintln!(
-            "[bench_drift] FAIL: mean recovery {mean_recovery:.2} < required {min_recovery:.2}"
-        );
-        std::process::exit(1);
-    }
-    if mean_step_cost > max_cost {
-        eprintln!("[bench_drift] FAIL: mean step cost {mean_step_cost:.2} > allowed {max_cost:.2}");
-        std::process::exit(1);
-    }
+    record::enforce(&contracts);
 }

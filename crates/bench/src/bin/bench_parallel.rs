@@ -1,13 +1,14 @@
 //! Serial-vs-parallel timing harness for the data-parallel training and
-//! lock-free inference paths. Writes `BENCH_parallel.json`,
-//! `BENCH_kernels.json`, and `results/profile.json` in the working directory
-//! (see `scripts/bench.sh`).
+//! lock-free inference paths. Writes `BENCH_parallel.json` and
+//! `BENCH_kernels.json` (two [`wsccl_bench::record`]s without contracts),
+//! and `results/profile.json`, in the working directory (see
+//! `scripts/bench.sh`).
 //!
 //! For each shard count the *same logical step* (fixed seed, fixed shard
 //! count) is timed at `threads = 1` and `threads = shards`; because the shard
-//! count is part of the math, this isolates the execution knob. The host core
-//! count is recorded alongside — on a single-core host the parallel numbers
-//! legitimately match the serial ones.
+//! count is part of the math, this isolates the execution knob. The records'
+//! provenance carries the host's CPU count — on a single-core host the
+//! parallel numbers legitimately match the serial ones.
 //!
 //! The kernels report compares pooled vs unpooled tape execution (same fused
 //! kernels both ways — pooling only recycles buffers) for the WSCCL model and
@@ -22,6 +23,7 @@ use rand::rngs::StdRng;
 use rand::RngExt;
 use serde::Serialize;
 
+use wsccl_bench::record;
 use wsccl_core::config::WscclConfig;
 use wsccl_core::encoder::{EncoderConfig, TemporalPathEncoder};
 use wsccl_core::wsc::WscModel;
@@ -53,7 +55,6 @@ struct EmbedTiming {
 
 #[derive(Serialize)]
 struct Report {
-    host_cores: usize,
     train_step: Vec<TrainTiming>,
     eval_embed: EmbedTiming,
 }
@@ -118,7 +119,6 @@ struct KernelsSection {
 
 #[derive(Serialize)]
 struct KernelReport {
-    host_cores: usize,
     train_step: Vec<KernelTiming>,
     kernels: KernelsSection,
 }
@@ -236,7 +236,7 @@ fn time_wsccl_backend(
 ) -> BackendStep {
     let forced = kernels::force(backend);
     let name = forced.name();
-    let mut model = warm_pooled_model(enc, ds);
+    let mut model = warm_model(enc, ds, true);
     let mut ms_per_step = f64::INFINITY;
     for _ in 0..5 {
         let t = Instant::now();
@@ -290,23 +290,7 @@ fn time_wsccl_kernels(
     pooled: bool,
     steps: usize,
 ) -> KernelTiming {
-    let cfg = WscclConfig { pooling: pooled, ..WscclConfig::default() };
-    let mut model = WscModel::new(Arc::clone(enc), cfg, 1);
-    // Adaptive warm-up: each step samples a fresh batch, and tensor sizes
-    // depend on path length, so keep stepping until the pool has seen the
-    // whole size spectrum — including the worst simultaneous demand per size
-    // — i.e. a long calm streak without a single fresh alloc.
-    let mut calm = 0;
-    let mut last = model.pool_stats().fresh_allocs;
-    for _ in 0..1000 {
-        model.train_step(&ds.unlabeled, &PopLabeler);
-        let now = model.pool_stats().fresh_allocs;
-        calm = if now == last { calm + 1 } else { 0 };
-        last = now;
-        if calm >= 50 {
-            break;
-        }
-    }
+    let mut model = warm_model(enc, ds, pooled);
     let warm = model.pool_stats();
     let t = Instant::now();
     for _ in 0..steps {
@@ -377,10 +361,14 @@ fn time_lstm_kernels(ds: &CityDataset, pooled: bool, steps: usize) -> KernelTimi
     row
 }
 
-/// Warm a pooled WSCCL model until the tape pool reaches steady state (no
-/// fresh allocations for a calm streak), mirroring `time_wsccl_kernels`.
-fn warm_pooled_model(enc: &Arc<TemporalPathEncoder>, ds: &CityDataset) -> WscModel {
-    let mut model = WscModel::new(Arc::clone(enc), WscclConfig::default(), 1);
+/// Warm a WSCCL model until its tape pool reaches steady state. Each step
+/// samples a fresh batch, and tensor sizes depend on path length, so keep
+/// stepping until the pool has seen the whole size spectrum — including the
+/// worst simultaneous demand per size — i.e. a long calm streak without a
+/// single fresh alloc.
+fn warm_model(enc: &Arc<TemporalPathEncoder>, ds: &CityDataset, pooled: bool) -> WscModel {
+    let cfg = WscclConfig { pooling: pooled, ..WscclConfig::default() };
+    let mut model = WscModel::new(Arc::clone(enc), cfg, 1);
     let mut calm = 0;
     let mut last = model.pool_stats().fresh_allocs;
     for _ in 0..1000 {
@@ -402,7 +390,7 @@ fn warm_pooled_model(enc: &Arc<TemporalPathEncoder>, ds: &CityDataset) -> WscMod
 fn profile_report(enc: &Arc<TemporalPathEncoder>, ds: &CityDataset, steps: usize) -> ProfileReport {
     let host_cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     let registry = wsccl_obs::global();
-    let mut model = warm_pooled_model(enc, ds);
+    let mut model = warm_model(enc, ds, true);
 
     let time_steps = |model: &mut WscModel| {
         let t = Instant::now();
@@ -424,7 +412,7 @@ fn profile_report(enc: &Arc<TemporalPathEncoder>, ds: &CityDataset, steps: usize
          on {metrics_on_ms_per_step:.2} ms/step ({metrics_overhead_pct:+.1}%)"
     );
 
-    let mut model = warm_pooled_model(enc, ds);
+    let mut model = warm_model(enc, ds, true);
     model.enable_profiling();
     for _ in 0..steps {
         model.train_step(&ds.unlabeled, &PopLabeler);
@@ -530,12 +518,10 @@ fn main() {
     );
 
     let report = Report {
-        host_cores,
         train_step,
         eval_embed: EmbedTiming { paths: ds.tte.len(), workers, serial_ms, parallel_ms },
     };
-    let json = serde_json::to_string(&report).expect("serialize report");
-    std::fs::write("BENCH_parallel.json", json).expect("write BENCH_parallel.json");
+    record::save("BENCH_parallel.json", &[], &report).expect("write BENCH_parallel.json");
     println!("wrote BENCH_parallel.json");
 
     // Backend comparison. The LSTM matmul shapes at reproduction scale (input
@@ -558,7 +544,6 @@ fn main() {
     let embed = embed_latency(&enc, &ds);
 
     let kernels = KernelReport {
-        host_cores,
         train_step: vec![
             time_wsccl_kernels(&enc, &ds, false, 20),
             time_wsccl_kernels(&enc, &ds, true, 20),
@@ -572,8 +557,7 @@ fn main() {
             embed,
         },
     };
-    let json = serde_json::to_string(&kernels).expect("serialize kernel report");
-    std::fs::write("BENCH_kernels.json", json).expect("write BENCH_kernels.json");
+    record::save("BENCH_kernels.json", &[], &kernels).expect("write BENCH_kernels.json");
     println!("wrote BENCH_kernels.json");
 
     let profile = profile_report(&enc, &ds, 30);

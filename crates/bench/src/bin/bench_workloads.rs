@@ -1,16 +1,15 @@
 //! `bench_workloads` — the two downstream workloads riding the frozen
 //! representation at streaming scale, recorded in `BENCH_workloads.json`
-//! (schema: [`wsccl_bench::WorkloadsBench`]).
+//! (a [`wsccl_bench::record`]; the body is [`WorkloadsBench`]).
 //!
 //! **Similarity search.** A corpus of trajectory embeddings (each base path
 //! replayed at many departure offsets, so every vector is a distinct
 //! *temporal* trajectory) is indexed twice: exact brute-force scan
 //! ([`ExactIndex`]) and IVF ANN ([`AnnIndex`]). Held-out query trajectories
 //! measure mean per-query latency of both and recall@k of ANN against exact.
-//! Acceptance at the default 100k-vector corpus: recall@10 ≥ 0.9 at ≥ 5×
-//! speedup (`WSCCL_KNN_MIN_RECALL` / `WSCCL_KNN_MIN_SPEEDUP`; tiny scale
-//! relaxes the speedup bar — IVF cannot beat a brute-force scan of a few
-//! thousand vectors by 5×).
+//! Contracts at the default 100k-vector corpus: recall@10 ≥ 0.9 at ≥ 5×
+//! speedup (tiny scale: ≥ 0.6 at ≥ 1× — IVF cannot beat a brute-force scan
+//! of a few thousand vectors by 5×).
 //!
 //! **OD travel-time estimation.** A commuter-style trip pool over a bounded
 //! set of OD pairs (shortest path per pair, many departures each) is split
@@ -18,22 +17,23 @@
 //! `(origin, destination, hour slot)` and answers test queries *without
 //! seeing the path*. Its MAE is gated against the full-path
 //! [`EtaRegression`] head fit on the very same training trips — the
-//! information ceiling: `od_mae / path_mae ≤ 1.25`
-//! (`WSCCL_ODTTE_MAX_RATIO`).
+//! information ceiling: `od_mae / path_mae ≤ 1.25` (tiny scale: ≤ 2).
+//! The binary exits 1 when a contract fails.
 //!
 //! Scale via `WSCCL_SCALE`: tiny (CI smoke, Aalborg, 4k vectors), small
 //! (default, Chengdu, 100k vectors), full (Metro streaming profile, 100k
-//! vectors). Corpus size and `nprobe` are overridable with
-//! `WSCCL_WORKLOADS_VECTORS` / `WSCCL_KNN_NPROBE`.
+//! vectors).
 
 use std::sync::Arc;
 use std::time::Instant;
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
+use serde::Serialize;
 use wsccl_bench::eval::par_map;
-use wsccl_bench::runner::WORLD_SEED;
-use wsccl_bench::{metro_dataset, KnnWorkload, OdtteWorkload, Scale, WorkloadsBench};
+use wsccl_bench::record::{self, Contract};
+use wsccl_bench::runner::{expected_travel_time, WORLD_SEED};
+use wsccl_bench::{metro_dataset, Scale};
 use wsccl_core::encoder::{EncoderConfig, TemporalPathEncoder};
 use wsccl_core::{TrainedRepresenter, WscModel};
 use wsccl_datagen::CityDataset;
@@ -43,31 +43,69 @@ use wsccl_roadnet::shortest::dijkstra_to;
 use wsccl_roadnet::{CityProfile, NodeId, Path, RoadNetwork};
 use wsccl_traffic::{CongestionModel, SimTime, TciLabeler, WeakLabeler};
 
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
+/// IVF lists probed per query. Replayed trajectories cluster tightly
+/// around their base paths, so a few probed lists already reach recall ≥
+/// 0.99 at a ~2.5% scan.
+const NPROBE: usize = 8;
+
+/// Similarity-search segment: exact scan vs. IVF ANN over the same
+/// embedding set.
+#[derive(Serialize)]
+struct KnnWorkload {
+    /// Vectors in the index.
+    num_vectors: usize,
+    /// Embedding dimensionality.
+    dim: usize,
+    /// Queries measured.
+    num_queries: usize,
+    /// Neighbors per query (the k of recall@k).
+    k: usize,
+    /// IVF inverted lists.
+    n_lists: usize,
+    /// Lists probed per query.
+    nprobe: usize,
+    /// Mean exact (brute-force) query latency, microseconds.
+    exact_query_us: f64,
+    /// Mean ANN query latency, microseconds.
+    ann_query_us: f64,
+    /// `exact_query_us / ann_query_us`.
+    speedup: f64,
+    /// Mean recall@k of ANN against exact.
+    recall_at_k: f64,
+    /// ANN index build time, milliseconds.
+    build_ms: f64,
 }
 
-fn env_f64(name: &str, default: f64) -> f64 {
-    std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
+/// OD travel-time estimation segment: per-(O, D, slot) embedding aggregates
+/// vs. the full-path ETA head on the same test trips.
+#[derive(Serialize)]
+struct OdtteWorkload {
+    /// Training trips aggregated.
+    train_trips: usize,
+    /// Held-out trips scored.
+    test_trips: usize,
+    /// Distinct OD pairs in the training pool.
+    od_pairs: usize,
+    /// `(O, D, slot)` buckets with data.
+    buckets: usize,
+    /// OD-TTE MAE (seconds), path-free prediction.
+    od_mae: f64,
+    od_mare: f64,
+    od_mape: f64,
+    /// Full-path ETA head MAE (seconds) on the same test trips — the
+    /// information ceiling the OD estimator is measured against.
+    path_mae: f64,
+    /// `od_mae / path_mae`.
+    mae_ratio: f64,
+    /// Test queries answered from the exact bucket / pair fallback / global
+    /// fallback.
+    fallback_counts: [usize; 3],
 }
 
-/// Noise-free expected travel time of `path` departing at `departure` —
-/// the traversal recurrence of the trip simulator minus its multiplicative
-/// noise (same ground truth as `bench_drift`).
-fn expected_time(
-    net: &RoadNetwork,
-    model: &CongestionModel,
-    path: &Path,
-    departure: SimTime,
-) -> f64 {
-    let mut t = departure;
-    let mut total = 0.0;
-    for &e in path.edges() {
-        let dt = model.edge_travel_time(net, e, t);
-        total += dt;
-        t = t.advance(dt);
-    }
-    total
+#[derive(Serialize)]
+struct WorkloadsBench {
+    knn: KnnWorkload,
+    odtte: OdtteWorkload,
 }
 
 /// Replay each base trajectory at `count / base.len()` (rounded up)
@@ -107,7 +145,7 @@ fn make_trip(
         departure_seconds: dep.seconds(),
         embedding: rep.embed(path, dep),
         weak_class: labeler.label(dep).class_index(),
-        travel_time: expected_time(net, congestion, path, dep),
+        travel_time: expected_travel_time(net, congestion, path, dep),
     }
 }
 
@@ -129,22 +167,14 @@ fn main() {
         ),
         Scale::Full => ("metro", metro_dataset(WORLD_SEED, 2_000), 100_000, 256, 50, 200),
     };
-    let num_vectors = env_usize("WSCCL_WORKLOADS_VECTORS", num_vectors);
     let k = 10;
-    // Replayed trajectories cluster tightly around their base paths, so a
-    // few probed lists already reach recall ≥ 0.99 at a ~2.5% scan.
-    let nprobe = env_usize("WSCCL_KNN_NPROBE", 8);
-    // IVF cannot beat a brute-force scan of a few thousand vectors by 5×;
-    // the tiny smoke run only checks the machinery end to end.
-    let (min_recall, min_speedup) = match scale {
-        Scale::Tiny => {
-            (env_f64("WSCCL_KNN_MIN_RECALL", 0.6), env_f64("WSCCL_KNN_MIN_SPEEDUP", 1.0))
-        }
-        _ => (env_f64("WSCCL_KNN_MIN_RECALL", 0.9), env_f64("WSCCL_KNN_MIN_SPEEDUP", 5.0)),
-    };
-    let max_ratio = match scale {
-        Scale::Tiny => env_f64("WSCCL_ODTTE_MAX_RATIO", 2.0),
-        _ => env_f64("WSCCL_ODTTE_MAX_RATIO", 1.25),
+    let nprobe = NPROBE;
+    // Contract bounds: (min recall@k, min ANN speedup, max od/path MAE
+    // ratio). IVF cannot beat a brute-force scan of a few thousand vectors
+    // by 5×; the tiny smoke run only checks the machinery end to end.
+    let (min_recall, min_speedup, max_ratio) = match scale {
+        Scale::Tiny => (0.6, 1.0, 2.0),
+        Scale::Small | Scale::Full => (0.9, 5.0, 1.25),
     };
 
     eprintln!("[bench_workloads] scale {} ({profile_name}), seed {WORLD_SEED}", scale.name());
@@ -212,7 +242,7 @@ fn main() {
     }
     // Min-of-3 passes (as in bench_parallel): the minimum is the least
     // scheduler-noise-contaminated estimate of the per-query cost.
-    let mut time_pass = |index: &dyn VectorIndex| {
+    let time_pass = |index: &dyn VectorIndex| {
         let mut best = f64::INFINITY;
         let mut results = Vec::new();
         for _ in 0..3 {
@@ -331,9 +361,13 @@ fn main() {
         fallback_counts,
     };
 
-    let bench =
-        WorkloadsBench { downstream_version: wsccl_downstream::VERSION.to_string(), knn, odtte };
-    if let Err(e) = bench.save() {
+    let contracts = [
+        Contract::at_least("knn_recall_at_10", recall, min_recall),
+        Contract::at_least("knn_speedup", speedup, min_speedup),
+        Contract::at_most("odtte_mae_ratio", mae_ratio, max_ratio),
+    ];
+    if let Err(e) = record::save("BENCH_workloads.json", &contracts, &WorkloadsBench { knn, odtte })
+    {
         eprintln!("[bench_workloads] failed to write BENCH_workloads.json: {e}");
         std::process::exit(1);
     }
@@ -342,22 +376,5 @@ fn main() {
          vectors, od/path MAE ratio {mae_ratio:.3} in {:.1?}",
         t0.elapsed()
     );
-    let mut failed = false;
-    if recall < min_recall {
-        eprintln!("[bench_workloads] FAIL: recall@{k} {recall:.3} < required {min_recall:.2}");
-        failed = true;
-    }
-    if speedup < min_speedup {
-        eprintln!("[bench_workloads] FAIL: ann speedup {speedup:.2}x < required {min_speedup:.2}x");
-        failed = true;
-    }
-    if mae_ratio > max_ratio {
-        eprintln!(
-            "[bench_workloads] FAIL: od/path MAE ratio {mae_ratio:.3} > allowed {max_ratio:.2}"
-        );
-        failed = true;
-    }
-    if failed {
-        std::process::exit(1);
-    }
+    record::enforce(&contracts);
 }

@@ -12,7 +12,9 @@
 //! ```
 //!
 //! `--scale tiny|small|full` (or `WSCCL_SCALE`) controls dataset/training
-//! sizes throughout. `wsccl datagen` streams records straight to the
+//! sizes throughout; any other value exits 2. `wsccl train` writes an
+//! engine checkpoint, the one format `evaluate`, `embed`, `serve --model`
+//! and `serve --watch` read. `wsccl datagen` streams records straight to the
 //! versioned on-disk `.wsccl-ds` format in bounded memory; `wsccl train
 //! --dataset` memory-maps such a file instead of generating in memory.
 //! `wsccl train --run-log NAME` additionally streams a structured JSONL run
@@ -24,13 +26,14 @@ use std::process::ExitCode;
 use std::sync::Arc;
 
 use wsccl_bench::eval::{evaluate_ranking, evaluate_tte};
+use wsccl_bench::record::check_stale;
 use wsccl_bench::Scale;
 use wsccl_core::encoder::TemporalPathEncoder;
-use wsccl_core::persist::Checkpoint;
-use wsccl_core::wsc::WscModel;
+use wsccl_core::persist::EngineCheckpoint;
+use wsccl_core::wsc::{TrainedRepresenter, WscModel};
 use wsccl_core::PathRepresenter;
 use wsccl_datagen::{CityDataset, DatasetSource, StreamConfig};
-use wsccl_roadnet::CityProfile;
+use wsccl_roadnet::{CityProfile, RoadNetwork};
 use wsccl_traffic::PopLabeler;
 
 fn usage() -> ExitCode {
@@ -69,12 +72,24 @@ fn parse_city(flags: &HashMap<String, String>) -> Option<CityProfile> {
     }
 }
 
-fn parse_scale(flags: &HashMap<String, String>) -> Scale {
-    match flags.get("scale").map(String::as_str) {
-        Some("tiny") => Scale::Tiny,
-        Some("full") => Scale::Full,
-        Some(_) => Scale::Small,
-        None => Scale::from_env(),
+fn parse_scale(flags: &HashMap<String, String>) -> Option<Scale> {
+    match flags.get("scale") {
+        Some(name) => Scale::parse(name).map_err(|e| eprintln!("{e}")).ok(),
+        None => Some(Scale::from_env()),
+    }
+}
+
+/// Load a checkpoint written by `wsccl train` as a frozen representer over
+/// `net` (the encoder tables are rebuilt from the stored config and seed).
+fn load_model(path: &str, net: &RoadNetwork) -> Result<TrainedRepresenter, String> {
+    let cp = EngineCheckpoint::load(path).map_err(|e| format!("load {path}: {e}"))?;
+    let encoder = Arc::new(TemporalPathEncoder::new(net, cp.encoder_config, cp.encoder_seed));
+    Ok(TrainedRepresenter::from_parts(encoder, cp.params, cp.weights, "WSCCL"))
+}
+
+fn warn_if_stale(bench_file: &str) {
+    if let Some(warning) = check_stale(bench_file) {
+        eprintln!("[warn] {warning}");
     }
 }
 
@@ -97,7 +112,7 @@ fn main() -> ExitCode {
     let Some((cmd, rest)) = args.split_first() else { return usage() };
     let Some(flags) = parse_flags(rest) else { return usage() };
     let Some(profile) = parse_city(&flags) else { return usage() };
-    let scale = parse_scale(&flags);
+    let Some(scale) = parse_scale(&flags) else { return usage() };
     let seed: u64 = flags.get("seed").and_then(|s| s.parse().ok()).unwrap_or(2022);
 
     let result = match cmd.as_str() {
@@ -225,9 +240,7 @@ fn cmd_train(
     if let Some(loss) = model.loss_history.last() {
         eprintln!("final epoch loss: {loss:.4}");
     }
-    let (params, weights) = model.weights();
-    let cp = Checkpoint::new(cfg.encoder.clone(), cfg.seed, params.clone(), weights.clone());
-    cp.save(&out).map_err(|e| e.to_string())?;
+    model.checkpoint(cfg.seed).save(&out).map_err(|e| format!("write {out}: {e}"))?;
     println!("wrote {out}");
     Ok(())
 }
@@ -240,17 +253,7 @@ fn cmd_evaluate(
 ) -> Result<(), String> {
     let ds = load_or_generate(flags, profile, scale, seed)?;
     let rep: Box<dyn PathRepresenter + Sync> = match flags.get("model") {
-        Some(path) => {
-            let cp = Checkpoint::load(path).map_err(|e| e.to_string())?;
-            let encoder = Arc::new(TemporalPathEncoder::new(
-                &ds.net,
-                cp.encoder_config.clone(),
-                cp.encoder_seed,
-            ));
-            Box::new(wsccl_core::wsc::TrainedRepresenter::from_parts(
-                encoder, cp.params, cp.weights, "WSCCL",
-            ))
-        }
+        Some(path) => Box::new(load_model(path, &ds.net)?),
         None => {
             eprintln!("no --model given; training from scratch");
             Box::new(wsccl_core::train_wsccl(
@@ -280,18 +283,10 @@ fn cmd_serve(
     scale: Scale,
     seed: u64,
 ) -> Result<(), String> {
-    wsccl_bench::runner::check_serve_bench();
+    warn_if_stale(wsccl_bench::serve_bench::BENCH_SERVE_PATH);
     let ds = load_or_generate(flags, profile, scale, seed)?;
     let rep = match flags.get("model") {
-        Some(path) => {
-            let cp = Checkpoint::load(path).map_err(|e| e.to_string())?;
-            let encoder = Arc::new(TemporalPathEncoder::new(
-                &ds.net,
-                cp.encoder_config.clone(),
-                cp.encoder_seed,
-            ));
-            wsccl_core::wsc::TrainedRepresenter::from_parts(encoder, cp.params, cp.weights, "WSCCL")
-        }
+        Some(path) => load_model(path, &ds.net)?,
         None => {
             let cfg = scale.wsccl(seed);
             eprintln!("no --model given; training WSC for {} epochs first", cfg.epochs);
@@ -403,10 +398,9 @@ fn cmd_drift_demo(
     seed: u64,
 ) -> Result<(), String> {
     use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-    use wsccl_core::wsc::TrainedRepresenter;
     use wsccl_core::{ContinualConfig, ContinualTrainer};
 
-    wsccl_bench::runner::check_drift_bench();
+    warn_if_stale("BENCH_drift.json");
     let days: u64 = flags.get("days").and_then(|s| s.parse().ok()).unwrap_or(3);
     let ds = CityDataset::generate(&scale.dataset(profile, seed));
     let cfg = scale.wsccl(seed);
@@ -554,11 +548,7 @@ fn cmd_embed(
 ) -> Result<(), String> {
     let ds = load_or_generate(flags, profile, scale, seed)?;
     let model_path = flags.get("model").ok_or("embed requires --model")?;
-    let cp = Checkpoint::load(model_path).map_err(|e| e.to_string())?;
-    let encoder =
-        Arc::new(TemporalPathEncoder::new(&ds.net, cp.encoder_config.clone(), cp.encoder_seed));
-    let rep =
-        wsccl_core::wsc::TrainedRepresenter::from_parts(encoder, cp.params, cp.weights, "WSCCL");
+    let rep = load_model(model_path, &ds.net)?;
     let index: usize = flags.get("index").and_then(|s| s.parse().ok()).unwrap_or(0);
     let sample = ds
         .unlabeled

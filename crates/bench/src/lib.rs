@@ -9,25 +9,21 @@
 //! computed on the held-out 20%. GCN/STGCN predict travel time directly.
 //!
 //! Experiment scale is controlled by the `WSCCL_SCALE` environment variable:
-//! `tiny` (smoke test), `small` (default), or `full`.
+//! `tiny` (smoke test), `small` (default), or `full`; any other value exits
+//! with status 2. Every `BENCH_*.json` file is written through [`record`].
 
-pub mod datagen_bench;
-pub mod drift_bench;
 pub mod eval;
 pub mod kfold;
 pub mod methods;
+pub mod record;
 pub mod report;
 pub mod runner;
 pub mod scale;
 pub mod serve_bench;
-pub mod workloads_bench;
 
-pub use datagen_bench::{DatagenBench, DatagenTierResult};
-pub use drift_bench::{DriftBench, DriftDayRow};
 pub use eval::{evaluate_ranking, evaluate_recommendation, evaluate_tte, evaluate_tte_predictor};
 pub use eval::{RankMetrics, RecMetrics, TteMetrics};
 pub use methods::{train_method, Method, MethodKind};
 pub use report::Table;
 pub use scale::{datagen_tiers, metro_dataset, Scale};
 pub use serve_bench::{EmbedPathResult, ServeBench, ServeWorkloadResult};
-pub use workloads_bench::{KnnWorkload, OdtteWorkload, WorkloadsBench};

@@ -4,7 +4,8 @@ use std::path::Path;
 use std::time::Instant;
 
 use wsccl_datagen::CityDataset;
-use wsccl_roadnet::CityProfile;
+use wsccl_roadnet::{CityProfile, Path as RoadPath, RoadNetwork};
+use wsccl_traffic::{CongestionModel, SimTime};
 use wsccl_train::LossCurve;
 
 use crate::eval::{
@@ -18,9 +19,16 @@ use crate::scale::Scale;
 /// world.
 pub const WORLD_SEED: u64 = 2022;
 
-/// Generate (deterministically) the dataset for one city at a scale.
+/// Generate (deterministically) the dataset for one city at a scale. The
+/// first call of a process warns when `BENCH_datagen.json` is missing or
+/// was recorded by another tree or host.
 pub fn load_city(profile: CityProfile, scale: Scale) -> CityDataset {
-    check_datagen_bench();
+    static ONCE: std::sync::Once = std::sync::Once::new();
+    ONCE.call_once(|| {
+        if let Some(warning) = crate::record::check_stale("BENCH_datagen.json") {
+            eprintln!("[warn] {warning}");
+        }
+    });
     eprintln!("[gen] {} dataset at scale {}", profile.name(), scale.name());
     let t = Instant::now();
     let ds = CityDataset::generate(&scale.dataset(profile, WORLD_SEED));
@@ -28,120 +36,23 @@ pub fn load_city(profile: CityProfile, scale: Scale) -> CityDataset {
     ds
 }
 
-/// Warn (once per process) when `BENCH_datagen.json` is missing or was
-/// recorded by a different `wsccl-datagen` version than the one linked into
-/// this binary — stale generation-throughput numbers silently misrepresent
-/// the current pipeline. Run `cargo run --release --bin bench_datagen` to
-/// refresh it.
-pub fn check_datagen_bench() {
-    static ONCE: std::sync::Once = std::sync::Once::new();
-    ONCE.call_once(|| match std::fs::read_to_string("BENCH_datagen.json") {
-        Err(_) => eprintln!(
-            "[warn] BENCH_datagen.json not found; run `cargo run --release --bin \
-             bench_datagen` to record datagen throughput for this tree"
-        ),
-        Ok(text) => match serde_json::from_str::<crate::datagen_bench::DatagenBench>(&text) {
-            Ok(bench) if bench.datagen_version == wsccl_datagen::VERSION => {}
-            Ok(bench) => eprintln!(
-                "[warn] BENCH_datagen.json is stale: recorded by wsccl-datagen {}, this binary \
-                 links {}; re-run `cargo run --release --bin bench_datagen`",
-                bench.datagen_version,
-                wsccl_datagen::VERSION
-            ),
-            Err(_) => eprintln!(
-                "[warn] BENCH_datagen.json is unreadable; re-run `cargo run --release --bin \
-                 bench_datagen`"
-            ),
-        },
-    });
-}
-
-/// Warn (once per process) when `BENCH_serve.json` is missing or was
-/// recorded by a different `wsccl-serve` version than the one linked into
-/// this binary — stale serving latency/throughput numbers silently
-/// misrepresent the current batcher. Run `cargo run --release --bin
-/// bench_serve` to refresh it.
-pub fn check_serve_bench() {
-    static ONCE: std::sync::Once = std::sync::Once::new();
-    ONCE.call_once(|| match std::fs::read_to_string(crate::serve_bench::BENCH_SERVE_PATH) {
-        Err(_) => eprintln!(
-            "[warn] BENCH_serve.json not found; run `cargo run --release --bin bench_serve` to \
-             record serving latency/throughput for this tree"
-        ),
-        Ok(text) => match serde_json::from_str::<crate::serve_bench::ServeBench>(&text) {
-            Ok(bench) if bench.serve_version == wsccl_serve::VERSION => {}
-            Ok(bench) => eprintln!(
-                "[warn] BENCH_serve.json is stale: recorded by wsccl-serve {}, this binary links \
-                 {}; re-run `cargo run --release --bin bench_serve`",
-                bench.serve_version,
-                wsccl_serve::VERSION
-            ),
-            Err(_) => eprintln!(
-                "[warn] BENCH_serve.json is unreadable; re-run `cargo run --release --bin \
-                 bench_serve`"
-            ),
-        },
-    });
-}
-
-/// Warn (once per process) when `BENCH_drift.json` is missing or was
-/// recorded by a different `wsccl-traffic` version than the one linked into
-/// this binary — the traffic crate owns the drift model, so stale
-/// continual-learning recovery numbers silently misrepresent the current
-/// simulation. Run `cargo run --release --bin bench_drift` to refresh it.
-pub fn check_drift_bench() {
-    static ONCE: std::sync::Once = std::sync::Once::new();
-    ONCE.call_once(|| match std::fs::read_to_string(crate::drift_bench::BENCH_DRIFT_PATH) {
-        Err(_) => eprintln!(
-            "[warn] BENCH_drift.json not found; run `cargo run --release --bin bench_drift` to \
-             record continual-learning recovery for this tree"
-        ),
-        Ok(text) => match serde_json::from_str::<crate::drift_bench::DriftBench>(&text) {
-            Ok(bench) if bench.traffic_version == wsccl_traffic::VERSION => {}
-            Ok(bench) => eprintln!(
-                "[warn] BENCH_drift.json is stale: recorded by wsccl-traffic {}, this binary \
-                 links {}; re-run `cargo run --release --bin bench_drift`",
-                bench.traffic_version,
-                wsccl_traffic::VERSION
-            ),
-            Err(_) => eprintln!(
-                "[warn] BENCH_drift.json is unreadable; re-run `cargo run --release --bin \
-                 bench_drift`"
-            ),
-        },
-    });
-}
-
-/// Warn (once per process) when `BENCH_workloads.json` is missing or was
-/// recorded by a different `wsccl-downstream` version than the one linked
-/// into this binary — the downstream crate owns the ANN index and OD-TTE
-/// estimator, so stale similarity-search/OD-error numbers silently
-/// misrepresent the current workloads. Run `cargo run --release --bin
-/// bench_workloads` to refresh it.
-pub fn check_workloads_bench() {
-    static ONCE: std::sync::Once = std::sync::Once::new();
-    ONCE.call_once(|| {
-        match std::fs::read_to_string(crate::workloads_bench::BENCH_WORKLOADS_PATH) {
-            Err(_) => eprintln!(
-                "[warn] BENCH_workloads.json not found; run `cargo run --release --bin \
-                 bench_workloads` to record similarity-search and OD-TTE results for this tree"
-            ),
-            Ok(text) => match serde_json::from_str::<crate::workloads_bench::WorkloadsBench>(&text)
-            {
-                Ok(bench) if bench.downstream_version == wsccl_downstream::VERSION => {}
-                Ok(bench) => eprintln!(
-                    "[warn] BENCH_workloads.json is stale: recorded by wsccl-downstream {}, this \
-                     binary links {}; re-run `cargo run --release --bin bench_workloads`",
-                    bench.downstream_version,
-                    wsccl_downstream::VERSION
-                ),
-                Err(_) => eprintln!(
-                    "[warn] BENCH_workloads.json is unreadable; re-run `cargo run --release \
-                     --bin bench_workloads`"
-                ),
-            },
-        }
-    });
+/// Noise-free expected travel time of `path` departing at `departure` under
+/// `model`: the trip simulator's traversal recurrence minus its
+/// multiplicative noise. The ground truth of the drift and OD-TTE benches.
+pub fn expected_travel_time(
+    net: &RoadNetwork,
+    model: &CongestionModel,
+    path: &RoadPath,
+    departure: SimTime,
+) -> f64 {
+    let mut t = departure;
+    let mut total = 0.0;
+    for &e in path.edges() {
+        let dt = model.edge_travel_time(net, e, t);
+        total += dt;
+        t = t.advance(dt);
+    }
+    total
 }
 
 /// Results of evaluating one trained method on one city.

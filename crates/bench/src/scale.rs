@@ -16,11 +16,25 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// Read from the `WSCCL_SCALE` environment variable (default `small`).
+    /// Parse a scale name: `tiny`, `small` or `full`, in any case.
+    pub fn parse(name: &str) -> Result<Self, String> {
+        match name.to_ascii_lowercase().as_str() {
+            "tiny" => Ok(Scale::Tiny),
+            "small" => Ok(Scale::Small),
+            "full" => Ok(Scale::Full),
+            _ => Err(format!("unknown scale '{name}' (expected tiny, small or full)")),
+        }
+    }
+
+    /// Read from the `WSCCL_SCALE` environment variable (default `small`
+    /// when unset or empty). Exits the process with status 2 on any other
+    /// value, naming the accepted ones.
     pub fn from_env() -> Self {
-        match std::env::var("WSCCL_SCALE").unwrap_or_default().to_lowercase().as_str() {
-            "tiny" => Scale::Tiny,
-            "full" => Scale::Full,
+        match std::env::var("WSCCL_SCALE") {
+            Ok(v) if !v.is_empty() => Scale::parse(&v).unwrap_or_else(|e| {
+                eprintln!("WSCCL_SCALE: {e}");
+                std::process::exit(2)
+            }),
             _ => Scale::Small,
         }
     }
@@ -113,5 +127,17 @@ mod tests {
         assert_eq!(Scale::Small.name(), "small");
         let cfg = Scale::Tiny.dataset(CityProfile::Aalborg, 1);
         assert!(cfg.num_unlabeled < Scale::Full.dataset(CityProfile::Aalborg, 1).num_unlabeled);
+    }
+
+    #[test]
+    fn parse_accepts_the_three_scales_and_rejects_anything_else() {
+        for s in [Scale::Tiny, Scale::Small, Scale::Full] {
+            assert_eq!(Scale::parse(s.name()), Ok(s));
+        }
+        assert_eq!(Scale::parse("FULL"), Ok(Scale::Full));
+        for bad in ["fulll", "medium", "", " tiny"] {
+            let err = Scale::parse(bad).expect_err(bad);
+            assert!(err.contains("expected tiny, small or full"), "{err}");
+        }
     }
 }

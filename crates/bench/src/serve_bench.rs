@@ -1,7 +1,7 @@
-//! Schema and I/O for `BENCH_serve.json`, the recorded serving latency and
-//! throughput of `wsccl-serve`. Written by the `bench_serve` binary; read by
-//! [`crate::runner::check_serve_bench`] to warn when the recorded numbers no
-//! longer match the `wsccl-serve` version in the tree.
+//! Body of `BENCH_serve.json`, the recorded serving latency and throughput
+//! of `wsccl-serve` (written by the `bench_serve` binary through
+//! [`crate::record`]), and the exact latency percentile shared with the
+//! `wsccl serve` CLI.
 
 use serde::{Deserialize, Serialize};
 
@@ -44,38 +44,22 @@ pub struct EmbedPathResult {
     pub batched_embeds_per_sec: f64,
 }
 
-/// The whole benchmark file.
+/// The body of the record (after `provenance` and `contracts`).
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct ServeBench {
-    /// `wsccl-serve` crate version the numbers were recorded against.
-    pub serve_version: String,
-    /// Active kernel backend during the run ("simd" / "scalar").
-    pub kernel_backend: String,
     pub workloads: Vec<ServeWorkloadResult>,
     /// Forward-path throughput, measured directly on the representer.
     pub embed_path: EmbedPathResult,
     /// End-to-end queries/s ratio of the `batched` workload (2 clients
     /// issuing `embed_many` groups of 16, `max_batch = 16`) over the
     /// `single` workload (one closed-loop client, one `embed()` in flight)
-    /// — the batch-16 serving path's reason to exist; kept ≥ 3 by CI. The
-    /// fused forward pass and the per-group (instead of per-query) wakeup
-    /// overhead both contribute; `embed_path` isolates the former.
+    /// — the batch-16 serving path's reason to exist; gated at ≥ 1.5 by the
+    /// record's `batched_speedup` contract. The fused forward pass and the
+    /// per-group (instead of per-query) wakeup overhead both contribute;
+    /// `embed_path` isolates the former.
     pub batched_speedup: f64,
     /// Requests served across a hot checkpoint reload with zero drops.
     pub reload_requests: u64,
-}
-
-impl ServeBench {
-    pub fn load() -> Option<Self> {
-        let text = std::fs::read_to_string(BENCH_SERVE_PATH).ok()?;
-        serde_json::from_str(&text).ok()
-    }
-
-    pub fn save(&self) -> std::io::Result<()> {
-        let json = serde_json::to_string(self)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-        std::fs::write(BENCH_SERVE_PATH, json)
-    }
 }
 
 /// Exact percentile from a raw latency sample (nearest-rank); `sorted` must
@@ -105,8 +89,6 @@ mod tests {
     #[test]
     fn roundtrips_through_json() {
         let b = ServeBench {
-            serve_version: "0.1.0".into(),
-            kernel_backend: "simd".into(),
             workloads: vec![ServeWorkloadResult {
                 workload: "batched".into(),
                 clients: 8,

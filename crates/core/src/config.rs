@@ -2,8 +2,6 @@
 
 use serde::{Deserialize, Serialize};
 
-use wsccl_nn::KernelBackend;
-
 use crate::encoder::EncoderConfig;
 
 /// Full training configuration.
@@ -55,12 +53,6 @@ pub struct WscclConfig {
     /// load as on.
     #[serde(default = "default_pooling")]
     pub pooling: bool,
-    /// Compute kernel backend (scalar oracle vs. AVX2 SIMD). Execution detail
-    /// only for f64 training — every choice is bit-for-bit identical; it also
-    /// selects the f32 inference kernels. `Auto` picks SIMD when the CPU
-    /// supports AVX2+FMA. Overridable at run time via `WSCCL_KERNELS`.
-    #[serde(default)]
-    pub kernels: KernelBackend,
     pub seed: u64,
 }
 
@@ -84,7 +76,6 @@ impl Default for WscclConfig {
             shards: 1,
             threads: 1,
             pooling: true,
-            kernels: KernelBackend::Auto,
             seed: 0,
         }
     }

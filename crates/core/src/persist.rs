@@ -1,18 +1,13 @@
-//! Model persistence: save a trained WSC model's weights and reload them
-//! into a compatible encoder.
+//! Model persistence: one checkpoint format, [`EngineCheckpoint`], for every
+//! file a model is saved to.
 //!
-//! Two formats share one version number:
-//!
-//! * [`Checkpoint`] — weights only. The frozen node2vec tables are rebuilt
-//!   deterministically from the same seed, so a checkpoint is
-//!   `(encoder config, seed, weights)`.
-//! * [`EngineCheckpoint`] — weights *plus* the training-engine state
-//!   (optimizer moments, step/epoch counters, RNG stream), sufficient for
-//!   [`crate::wsc::WscModel::resume`] to continue a run bit-for-bit.
-//!
-//! The plain reader refuses engine checkpoints (and vice versa an engine
-//! read of a plain file fails on the missing trainer state), so a file is
-//! never silently loaded with half its state dropped.
+//! A checkpoint holds the weights plus the training-engine state (optimizer
+//! moments, step/epoch counters, RNG stream), sufficient for
+//! [`crate::wsc::WscModel::resume`] to continue a run bit-for-bit. The
+//! frozen node2vec tables are not stored: they are rebuilt deterministically
+//! from `(encoder_config, encoder_seed)`. Inference readers (`wsccl
+//! evaluate`/`embed`/`serve`, the serve hot-reload watcher) take only the
+//! encoder fields and the weights.
 
 use std::io::{Read, Write};
 use std::path::Path as FsPath;
@@ -25,21 +20,6 @@ use wsccl_train::TrainerState;
 use crate::config::WscclConfig;
 use crate::continual::ContinualState;
 use crate::encoder::{EncoderConfig, EncoderWeights};
-
-/// A serializable weights-only WSC checkpoint.
-#[derive(Debug, Serialize, Deserialize)]
-pub struct Checkpoint {
-    /// Format version, bumped on breaking layout changes.
-    pub version: u32,
-    /// Encoder architecture (needed to rebuild the frozen tables).
-    pub encoder_config: EncoderConfig,
-    /// Seed the frozen node2vec tables were built from.
-    pub encoder_seed: u64,
-    /// All trainable parameter tensors.
-    pub params: Parameters,
-    /// Layer handles into `params`.
-    pub weights: EncoderWeights,
-}
 
 /// Current checkpoint format version. Version 2 introduced the engine
 /// checkpoint (trainer state alongside the weights).
@@ -54,10 +34,6 @@ pub enum PersistError {
     VersionMismatch {
         found: u32,
     },
-    /// An engine checkpoint (carrying trainer state) was handed to the plain
-    /// weights-only reader, which would silently drop the optimizer moments
-    /// and RNG stream. Load it with [`EngineCheckpoint::load`] instead.
-    EngineCheckpointRequiresEngineReader,
 }
 
 impl std::fmt::Display for PersistError {
@@ -67,13 +43,6 @@ impl std::fmt::Display for PersistError {
             PersistError::Encode(e) => write!(f, "checkpoint encoding error: {e}"),
             PersistError::VersionMismatch { found } => {
                 write!(f, "checkpoint version {found} != supported {CHECKPOINT_VERSION}")
-            }
-            PersistError::EngineCheckpointRequiresEngineReader => {
-                write!(
-                    f,
-                    "file is an engine checkpoint (has trainer state); \
-                     load it with EngineCheckpoint, not Checkpoint"
-                )
             }
         }
     }
@@ -87,20 +56,17 @@ impl From<std::io::Error> for PersistError {
     }
 }
 
-/// Header-level look at a checkpoint file: version plus whether it carries
-/// engine state. Deserialized manually so it tolerates (and ignores) every
-/// other field of either format.
+/// Header-level look at a checkpoint file: its version. Deserialized
+/// manually so it tolerates (and ignores) every other field.
 struct CheckpointProbe {
     version: u32,
-    has_trainer: bool,
 }
 
 impl Deserialize for CheckpointProbe {
     fn from_value(v: &Value) -> Result<Self, DeError> {
         let obj = v.as_object("checkpoint")?;
         let version = u32::from_value(serde::field(obj, "version", "checkpoint")?)?;
-        let has_trainer = obj.iter().any(|(k, _)| k == "trainer");
-        Ok(Self { version, has_trainer })
+        Ok(Self { version })
     }
 }
 
@@ -108,52 +74,7 @@ fn probe(buf: &str) -> Result<CheckpointProbe, PersistError> {
     serde_json::from_str(buf).map_err(|e| PersistError::Encode(e.to_string()))
 }
 
-impl Checkpoint {
-    pub fn new(
-        encoder_config: EncoderConfig,
-        encoder_seed: u64,
-        params: Parameters,
-        weights: EncoderWeights,
-    ) -> Self {
-        Self { version: CHECKPOINT_VERSION, encoder_config, encoder_seed, params, weights }
-    }
-
-    /// Serialize to a writer as JSON.
-    pub fn write_to(&self, w: &mut impl Write) -> Result<(), PersistError> {
-        let json = serde_json::to_string(self).map_err(|e| PersistError::Encode(e.to_string()))?;
-        w.write_all(json.as_bytes())?;
-        Ok(())
-    }
-
-    /// Deserialize from a reader, validating the version and rejecting
-    /// engine checkpoints (which need [`EngineCheckpoint::read_from`]).
-    pub fn read_from(r: &mut impl Read) -> Result<Self, PersistError> {
-        let mut buf = String::new();
-        r.read_to_string(&mut buf)?;
-        let head = probe(&buf)?;
-        if head.version != CHECKPOINT_VERSION {
-            return Err(PersistError::VersionMismatch { found: head.version });
-        }
-        if head.has_trainer {
-            return Err(PersistError::EngineCheckpointRequiresEngineReader);
-        }
-        serde_json::from_str(&buf).map_err(|e| PersistError::Encode(e.to_string()))
-    }
-
-    /// Save to a file.
-    pub fn save(&self, path: impl AsRef<FsPath>) -> Result<(), PersistError> {
-        let mut f = std::fs::File::create(path)?;
-        self.write_to(&mut f)
-    }
-
-    /// Load from a file.
-    pub fn load(path: impl AsRef<FsPath>) -> Result<Self, PersistError> {
-        let mut f = std::fs::File::open(path)?;
-        Self::read_from(&mut f)
-    }
-}
-
-/// A full training-run checkpoint: everything in [`Checkpoint`] plus the
+/// A full training-run checkpoint: encoder config and seed, weights, the
 /// model config, the engine state, and the loss history so far.
 #[derive(Debug, Serialize, Deserialize)]
 pub struct EngineCheckpoint {
@@ -244,6 +165,24 @@ mod tests {
     use wsccl_roadnet::CityProfile;
     use wsccl_traffic::SimTime;
 
+    /// A checkpoint of freshly initialized weights and an untouched trainer.
+    pub(super) fn checkpoint(
+        cfg: &EncoderConfig,
+        params: Parameters,
+        weights: EncoderWeights,
+    ) -> EngineCheckpoint {
+        let trainer = wsccl_train::Trainer::new(wsccl_train::TrainSpec::adam(1e-3, 1, 3));
+        EngineCheckpoint::new(
+            cfg.clone(),
+            3,
+            WscclConfig::tiny(),
+            params,
+            weights,
+            trainer.state(),
+            vec![1.0, 0.5],
+        )
+    }
+
     #[test]
     fn roundtrip_preserves_embeddings() {
         let net = CityProfile::Aalborg.generate(3);
@@ -262,19 +201,20 @@ mod tests {
         }
         let path = wsccl_roadnet::Path::new_unchecked(edges);
         let t = SimTime::from_hm(0, 8, 0);
-        let before = enc.embed(&mut params, &weights, &path, t);
+        let before = enc.embed(&params, &weights, &path, t);
 
         // Roundtrip through bytes.
-        let cp = Checkpoint::new(cfg.clone(), 3, params, weights);
+        let cp = checkpoint(&cfg, params, weights);
         let mut buf = Vec::new();
         cp.write_to(&mut buf).expect("write");
-        let restored = Checkpoint::read_from(&mut buf.as_slice()).expect("read");
+        let restored = EngineCheckpoint::read_from(&mut buf.as_slice()).expect("read");
+        assert_eq!(restored.loss_history, vec![1.0, 0.5]);
+        assert_eq!(restored.trainer.step, 0);
 
         // Rebuild the frozen encoder from (config, seed) and compare.
         let enc2 =
             TemporalPathEncoder::new(&net, restored.encoder_config.clone(), restored.encoder_seed);
-        let mut params2 = restored.params;
-        let after = enc2.embed(&mut params2, &restored.weights, &path, t);
+        let after = enc2.embed(&restored.params, &restored.weights, &path, t);
         assert_eq!(before, after, "checkpoint roundtrip must be exact");
     }
 
@@ -285,47 +225,36 @@ mod tests {
         let enc = TemporalPathEncoder::new(&net, cfg.clone(), 3);
         let mut params = Parameters::new();
         let weights = enc.init_weights(&mut params, 9);
-        let mut cp = Checkpoint::new(cfg, 3, params, weights);
+        let mut cp = checkpoint(&cfg, params, weights);
         cp.version = 99;
         let mut buf = Vec::new();
-        // Bypass write-side checks by serializing directly.
-        buf.extend_from_slice(serde_json::to_string(&cp).unwrap().as_bytes());
-        match Checkpoint::read_from(&mut buf.as_slice()) {
+        cp.write_to(&mut buf).expect("write");
+        match EngineCheckpoint::read_from(&mut buf.as_slice()) {
             Err(PersistError::VersionMismatch { found: 99 }) => {}
             other => panic!("expected version mismatch, got {other:?}"),
         }
     }
 
     #[test]
-    fn engine_checkpoint_is_rejected_by_plain_reader() {
-        // The engine layout is a superset of the plain layout, so a naive
-        // field-by-field read would "succeed" while dropping the optimizer
-        // moments and RNG stream. The plain reader must refuse instead.
+    fn checkpoint_written_with_kernels_fields_still_loads() {
+        // Model configs and trainer specs used to carry a `kernels` backend
+        // field; files written then must keep loading.
         let net = CityProfile::Aalborg.generate(3);
         let cfg = EncoderConfig::tiny();
         let enc = TemporalPathEncoder::new(&net, cfg.clone(), 3);
         let mut params = Parameters::new();
         let weights = enc.init_weights(&mut params, 9);
-        let trainer = wsccl_train::Trainer::new(wsccl_train::TrainSpec::adam(1e-3, 1, 3));
-        let cp = EngineCheckpoint::new(
-            cfg,
-            3,
-            WscclConfig::tiny(),
-            params,
-            weights,
-            trainer.state(),
-            vec![1.0, 0.5],
-        );
         let mut buf = Vec::new();
-        cp.write_to(&mut buf).expect("write");
-        match Checkpoint::read_from(&mut buf.as_slice()) {
-            Err(PersistError::EngineCheckpointRequiresEngineReader) => {}
-            other => panic!("expected engine-checkpoint rejection, got {other:?}"),
-        }
-        // The engine reader accepts the same bytes.
-        let restored = EngineCheckpoint::read_from(&mut buf.as_slice()).expect("engine read");
+        checkpoint(&cfg, params, weights).write_to(&mut buf).expect("write");
+        let json = String::from_utf8(buf).expect("utf-8");
+        let old = json
+            .replacen("\"pooling\":true", "\"pooling\":true,\"kernels\":\"Auto\"", 1)
+            .replacen("\"pool_buffers\":true", "\"pool_buffers\":true,\"kernels\":\"Simd\"", 1);
+        assert_eq!(old.matches("\"kernels\"").count(), 2, "both fields injected");
+        let restored = EngineCheckpoint::read_from(&mut old.as_bytes()).expect("old file loads");
+        assert!(restored.config.pooling);
+        assert!(restored.trainer.spec.pool_buffers);
         assert_eq!(restored.loss_history, vec![1.0, 0.5]);
-        assert_eq!(restored.trainer.step, 0);
     }
 }
 
@@ -343,10 +272,10 @@ mod probe_tests {
         let mut params = Parameters::new();
         let weights = enc.init_weights(&mut params, 9);
         let orig = params.clone();
-        let cp = Checkpoint::new(cfg, 3, params, weights);
+        let cp = super::tests::checkpoint(&cfg, params, weights);
         let mut buf = Vec::new();
         cp.write_to(&mut buf).unwrap();
-        let restored = Checkpoint::read_from(&mut buf.as_slice()).unwrap();
+        let restored = EngineCheckpoint::read_from(&mut buf.as_slice()).unwrap();
         for id in orig.ids() {
             assert_eq!(orig.value(id).data(), restored.params.value(id).data(), "param {:?}", id);
         }

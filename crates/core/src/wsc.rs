@@ -54,7 +54,6 @@ fn train_spec(cfg: &WscclConfig, seed: u64) -> TrainSpec {
         shards: cfg.shards,
         threads: cfg.threads,
         pool_buffers: cfg.pooling,
-        kernels: cfg.kernels,
     }
 }
 

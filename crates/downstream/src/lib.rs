@@ -32,7 +32,3 @@ pub use odtte::{OdFallback, OdTrip, OdtteConfig, OdtteModel};
 pub use task::{
     EtaRegression, PathClassification, PathRanking, RankScores, RecScores, Task, TteScores,
 };
-
-/// Crate version, recorded into benchmark artifacts (`BENCH_workloads.json`)
-/// so staleness checks can flag results from another build.
-pub const VERSION: &str = env!("CARGO_PKG_VERSION");

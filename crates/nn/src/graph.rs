@@ -800,18 +800,6 @@ impl<'p> Graph<'p> {
         self.push(Op::Sigmoid(a), v, ng)
     }
 
-    /// In-place variant of [`Graph::sigmoid`]. Sound because the sigmoid
-    /// backward only needs its own output, never the pre-activation input.
-    pub fn sigmoid_inplace(&mut self, a: NodeId) -> NodeId {
-        if let Some(mut v) = self.try_steal(a) {
-            v.data_mut().iter_mut().for_each(|x| *x = 1.0 / (1.0 + (-*x).exp()));
-            let ng = self.needs(a);
-            self.bump(a);
-            return self.push(Op::Sigmoid(a), v, ng);
-        }
-        self.sigmoid(a)
-    }
-
     pub fn tanh(&mut self, a: NodeId) -> NodeId {
         let (r, c) = self.val(a).shape();
         let mut v = self.alloc_raw(r, c);
@@ -823,17 +811,6 @@ impl<'p> Graph<'p> {
         self.push(Op::Tanh(a), v, ng)
     }
 
-    /// In-place variant of [`Graph::tanh`].
-    pub fn tanh_inplace(&mut self, a: NodeId) -> NodeId {
-        if let Some(mut v) = self.try_steal(a) {
-            v.data_mut().iter_mut().for_each(|x| *x = x.tanh());
-            let ng = self.needs(a);
-            self.bump(a);
-            return self.push(Op::Tanh(a), v, ng);
-        }
-        self.tanh(a)
-    }
-
     pub fn relu(&mut self, a: NodeId) -> NodeId {
         let (r, c) = self.val(a).shape();
         let mut v = self.alloc_raw(r, c);
@@ -843,18 +820,6 @@ impl<'p> Graph<'p> {
         let ng = self.needs(a);
         self.bump(a);
         self.push(Op::Relu(a), v, ng)
-    }
-
-    /// In-place variant of [`Graph::relu`] (the backward uses the output sign,
-    /// which equals the input sign for ReLU, so the input is never needed).
-    pub fn relu_inplace(&mut self, a: NodeId) -> NodeId {
-        if let Some(mut v) = self.try_steal(a) {
-            v.data_mut().iter_mut().for_each(|x| *x = x.max(0.0));
-            let ng = self.needs(a);
-            self.bump(a);
-            return self.push(Op::Relu(a), v, ng);
-        }
-        self.relu(a)
     }
 
     /// Elementwise natural log. Caller must guarantee strictly positive inputs.
@@ -2150,15 +2115,15 @@ mod tests {
         let w = g.param(ids[0]);
         let a = g.scale(w, 2.0);
         // `a` has no consumers yet → in-place steal is allowed.
-        let b = g.tanh_inplace(a);
+        let b = g.scale_inplace(a, 0.5);
         assert!(g.node_grad(a).is_none());
-        assert_eq!(g.value(b).data(), &[4.0f64.tanh(), (-2.0f64).tanh()]);
+        assert_eq!(g.value(b).data(), &[2.0, -1.0]);
         // `b` now consumed by `s`, so an in-place op on `b` must fall back.
         let s = g.sum_all(b);
         let _also_uses_b = g.scale(b, 3.0);
         let d = g.scale_inplace(b, 5.0);
-        assert_eq!(g.value(b).data(), &[4.0f64.tanh(), (-2.0f64).tanh()], "fallback must copy");
-        assert_eq!(g.value(d).data()[0], 4.0f64.tanh() * 5.0);
+        assert_eq!(g.value(b).data(), &[2.0, -1.0], "fallback must copy");
+        assert_eq!(g.value(d).data()[0], 10.0);
         let loss = g.mul(s, s);
         g.backward(loss);
         assert!(g.grads().grad(ids[0]).is_some());
@@ -2171,7 +2136,7 @@ mod tests {
         let mut g = Graph::new(&p);
         let w = g.param(ids[0]);
         let a = g.scale(w, 2.0);
-        let _b = g.sigmoid_inplace(a);
+        let _b = g.scale_inplace(a, 3.0);
         let _ = g.value(a);
     }
 
@@ -2183,16 +2148,16 @@ mod tests {
             let w = g.param(ids[0]);
             let x = g.input_row(&[1.0, 2.0, 3.0]);
             let t = g.mul(w, x);
-            let (sc, ac, rl) = if inplace {
+            let sb = if inplace {
                 let sc = g.scale_inplace(t, -0.5);
                 let ac = g.add_inplace(sc, w);
-                (sc, ac, g.relu_inplace(ac))
+                g.sub_inplace(ac, x)
             } else {
                 let sc = g.scale(t, -0.5);
                 let ac = g.add(sc, w);
-                (sc, ac, g.relu(ac))
+                g.sub(ac, x)
             };
-            let _ = (sc, ac);
+            let rl = g.relu(sb);
             let su = g.sum_all(rl);
             let loss = g.mul(su, su);
             g.finish(loss)

@@ -42,25 +42,21 @@
 //!
 //! # Selection
 //!
-//! The backend is resolved once per process: the first call to [`select`] (or
-//! lazily, the first kernel invocation) latches the choice. The env var
-//! `WSCCL_KERNELS=scalar|simd|auto` overrides any configured choice so CI can
-//! force both paths over the whole suite. Tests and benches may flip the
-//! backend mid-process with [`force`] — sound precisely because of the f64
-//! bit-identity contract above. The returned [`ForcedBackend`] guard holds a
-//! process-wide lock, so concurrent tests that force different backends take
-//! turns instead of switching each other's kernels mid-run.
+//! The backend is resolved once per process, on the first kernel call: the
+//! env var `WSCCL_KERNELS=scalar|simd|auto` when set (so CI can force both
+//! paths over the whole suite), CPU detection otherwise. Tests and benches
+//! may flip the backend mid-process with [`force`] — sound precisely because
+//! of the f64 bit-identity contract above. The returned [`ForcedBackend`]
+//! guard holds a process-wide lock, so concurrent tests that force different
+//! backends take turns instead of switching each other's kernels mid-run.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
-use serde::{Deserialize, Serialize};
-
 /// Which kernel backend to use. `Auto` picks SIMD when the CPU supports
 /// AVX2 + FMA, scalar otherwise.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum KernelBackend {
-    #[default]
     Auto,
     Scalar,
     Simd,
@@ -2391,16 +2387,18 @@ fn from_code(code: u8) -> &'static dyn Kernels {
     }
 }
 
-/// Resolve the process-wide backend. The first resolution wins; later calls
-/// with a different request are no-ops (use [`force`] to override). The
-/// `WSCCL_KERNELS` env var takes precedence over the requested backend.
-/// Returns the *active* backend name.
-pub fn select(requested: KernelBackend) -> &'static str {
-    let code = backend_code(env_override().unwrap_or(requested));
-    if ACTIVE.compare_exchange(0, code, Ordering::Relaxed, Ordering::Relaxed).is_ok() {
-        publish_gauge(code);
+/// Resolve the process-wide backend on first use: the `WSCCL_KERNELS` env
+/// var when set, CPU detection (`Auto`) otherwise. Only [`force`] changes it
+/// afterwards.
+fn resolve() -> u8 {
+    let code = backend_code(env_override().unwrap_or(KernelBackend::Auto));
+    match ACTIVE.compare_exchange(0, code, Ordering::Relaxed, Ordering::Relaxed) {
+        Ok(_) => {
+            publish_gauge(code);
+            code
+        }
+        Err(raced) => raced,
     }
-    active_name()
 }
 
 /// Serializes [`force`] holders across the process.
@@ -2459,14 +2457,12 @@ pub fn force(backend: KernelBackend) -> ForcedBackend {
     ForcedBackend { prev, _hold: hold }
 }
 
-/// The active kernel set, resolving `Auto` (plus env override) on first use.
+/// The active kernel set, resolved on first use (see [`resolve`]).
 pub fn active() -> &'static dyn Kernels {
-    let code = ACTIVE.load(Ordering::Relaxed);
-    if code == 0 {
-        select(KernelBackend::Auto);
-        return from_code(ACTIVE.load(Ordering::Relaxed));
+    match ACTIVE.load(Ordering::Relaxed) {
+        0 => from_code(resolve()),
+        code => from_code(code),
     }
-    from_code(code)
 }
 
 /// Name of the active backend (`"scalar"` or `"simd"`).

@@ -625,10 +625,10 @@ fn inplace_elementwise_grad() {
             let bn = g.param(b);
             let s = g.add(an, bn);
             let sc = g.scale_inplace(s, 0.7); // steals s (Add)
-            let t = g.tanh_inplace(sc); // steals sc (Scale)
+            let t = g.tanh(sc);
             let d = g.sub_inplace(t, bn); // falls back: Tanh reads own value
-            let sg = g.sigmoid_inplace(d); // steals d (Sub)
-            let l = g.sum_all(sg);
+            let e = g.add_inplace(d, an); // steals d (Sub)
+            let l = g.sum_all(e);
             g.finish(l)
         },
         EPS,

@@ -29,7 +29,3 @@ pub mod server;
 
 pub use cache::{path_hash, CacheKey, CacheStats, EmbeddingCache};
 pub use server::{Client, ServeConfig, ServeError, ServeStats, Server};
-
-/// Crate version baked into `BENCH_serve.json`; the bench runner warns when
-/// the recorded numbers come from a different version than the tree.
-pub const VERSION: &str = env!("CARGO_PKG_VERSION");

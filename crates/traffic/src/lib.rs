@@ -31,7 +31,3 @@ pub use gen::IndexedTripGen;
 pub use labels::{PopLabeler, TciLabeler, WeakLabel, WeakLabeler};
 pub use time::SimTime;
 pub use trajectory::{GpsFix, Trajectory, Trip, TripConfig, TripGenerator};
-
-/// Crate version, recorded into drift benchmark artifacts so staleness
-/// against the built library can be detected (`runner::check_drift_bench`).
-pub const VERSION: &str = env!("CARGO_PKG_VERSION");

@@ -213,10 +213,6 @@ impl Trainer {
     const SEED_SALT: u64 = 0x5C3A;
 
     pub fn new(spec: TrainSpec) -> Self {
-        // Resolve the process-wide kernel backend (first trainer wins; the
-        // WSCCL_KERNELS env var overrides). Safe to call repeatedly — the f64
-        // backends are bit-identical, so training never depends on the winner.
-        wsccl_nn::kernels::select(spec.kernels);
         let optimizer = Optimizer::new(spec.optimizer, spec.lr);
         let rng = StdRng::seed_from_u64(spec.seed ^ Self::SEED_SALT);
         Self {
@@ -270,7 +266,6 @@ impl Trainer {
     /// trajectory is bit-for-bit the one the snapshotted trainer would have
     /// produced.
     pub fn from_state(state: TrainerState) -> Self {
-        wsccl_nn::kernels::select(state.spec.kernels);
         Self {
             spec: state.spec,
             optimizer: state.optimizer,

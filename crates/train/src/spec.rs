@@ -2,7 +2,6 @@
 //! data-parallel knobs shared by every model in the workspace.
 
 use serde::{Deserialize, Serialize};
-use wsccl_nn::KernelBackend;
 
 /// Which optimizer the engine instantiates.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
@@ -72,13 +71,6 @@ pub struct TrainSpec {
     /// absent in pre-pool checkpoints, hence the serde default).
     #[serde(default = "default_pool_buffers")]
     pub pool_buffers: bool,
-    /// Compute kernel backend ([`wsccl_nn::kernels`]); resolved once per
-    /// process when the first trainer is built. Execution knob only — the f64
-    /// backends are bit-for-bit identical, so any value (and the
-    /// `WSCCL_KERNELS` env override) yields identical training. Absent in
-    /// pre-kernel checkpoints, hence the serde default (`Auto`).
-    #[serde(default)]
-    pub kernels: KernelBackend,
 }
 
 fn default_pool_buffers() -> bool {
@@ -99,7 +91,6 @@ impl TrainSpec {
             shards: 1,
             threads: 1,
             pool_buffers: true,
-            kernels: KernelBackend::Auto,
         }
     }
 
