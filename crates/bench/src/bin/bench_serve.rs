@@ -15,7 +15,9 @@
 //!   serving overhead is paid once per group. Latency percentiles are per
 //!   group call; `requests` counts queries.
 //! * `cached`  — 32 single-`embed` clients, `max_batch = 16`, LRU on, a
-//!   small recurring query set: the warm-path ceiling.
+//!   small recurring query set: the warm-path ceiling. A warm key is
+//!   answered on the client's own thread with no queue round trip, so this
+//!   measures the cache probe under 32-way contention, not the server.
 //!
 //! `batched_speedup` is the end-to-end ratio `batched / single` requests/s,
 //! gated by the record's contract at ≥ 1.5× (the binary exits 1 below it;

@@ -367,13 +367,16 @@ fn cmd_serve(
         served as f64 / seconds.max(1e-9)
     );
     println!(
-        "batches {} (max size seen {}) | cache: {} hits / {} misses / {} evictions | reloads {}",
+        "batches {} (max size seen {}) | cache: {} hits / {} misses / {} evictions | \
+         {} answered on the caller | reloads {} ({} rejected)",
         stats.batches,
         stats.max_batch_seen,
         stats.cache.hits,
         stats.cache.misses,
         stats.cache.evictions,
-        stats.reloads
+        stats.caller_hits,
+        stats.reloads,
+        stats.reload_errors
     );
     if let Some(bound) = flags.get("assert-p99-us").and_then(|s| s.parse::<f64>().ok()) {
         if p99 > bound {

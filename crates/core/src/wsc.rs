@@ -345,6 +345,11 @@ impl TrainedRepresenter {
         Arc::clone(&self.encoder)
     }
 
+    /// The trained parameter values this representer was built from.
+    pub fn params(&self) -> &Parameters {
+        &self.params
+    }
+
     /// The name given at construction.
     pub fn name(&self) -> &str {
         &self.name

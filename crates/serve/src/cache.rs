@@ -10,14 +10,19 @@
 //! between distinct paths is detected and treated as a miss instead of
 //! serving the wrong path's embedding.
 //!
-//! Shards are plain mutex-per-shard: the serving loop is single-threaded, but
-//! tests and future multi-threaded batchers can share one cache. Each shard
-//! runs an intrusive slab doubly-linked list, so get/insert are O(1).
+//! Shards are plain mutex-per-shard, because the cache is probed from many
+//! threads at once: every client thread probes it for its own embed, ETA and
+//! k-NN calls, while the serve thread probes it for `embed_many` groups and
+//! is the only writer (see DESIGN.md §12). Each shard runs an intrusive slab
+//! doubly-linked list, so get/insert are O(1). The `serve.cache.*` counters
+//! of the global [`wsccl_obs`] registry are resolved once, at construction,
+//! so a probe takes no lock beyond its own shard's.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
+use wsccl_obs::Counter;
 use wsccl_roadnet::{EdgeId, Path};
 
 /// FNV-1a over the edge-id sequence. Stable across runs (no randomized
@@ -133,6 +138,11 @@ pub struct EmbeddingCache {
     misses: AtomicU64,
     evictions: AtomicU64,
     collisions: AtomicU64,
+    /// The global registry's `serve.cache.{hit,miss,evict,collision}`.
+    obs_hit: Counter,
+    obs_miss: Counter,
+    obs_evict: Counter,
+    obs_collision: Counter,
 }
 
 impl EmbeddingCache {
@@ -143,6 +153,7 @@ impl EmbeddingCache {
         let shards = shards.max(1);
         let shard_capacity = capacity.div_ceil(shards);
         let shards: Vec<Mutex<Shard>> = (0..shards).map(|_| Mutex::new(Shard::new())).collect();
+        let obs = wsccl_obs::global();
         Self {
             shards: shards.into_boxed_slice(),
             shard_capacity,
@@ -151,6 +162,10 @@ impl EmbeddingCache {
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
             collisions: AtomicU64::new(0),
+            obs_hit: obs.counter("serve.cache.hit"),
+            obs_miss: obs.counter("serve.cache.miss"),
+            obs_evict: obs.counter("serve.cache.evict"),
+            obs_collision: obs.counter("serve.cache.collision"),
         }
     }
 
@@ -182,6 +197,7 @@ impl EmbeddingCache {
     pub fn get(&self, key: &CacheKey, path: &Path) -> Option<Arc<Vec<f64>>> {
         if self.shard_capacity == 0 {
             self.misses.fetch_add(1, Ordering::Relaxed);
+            self.obs_miss.inc();
             return None;
         }
         let mut shard = self.shard_of(key).lock().unwrap_or_else(PoisonError::into_inner);
@@ -191,19 +207,19 @@ impl EmbeddingCache {
                 let v = Arc::clone(&shard.nodes[idx as usize].value);
                 drop(shard);
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                wsccl_obs::global().counter("serve.cache.hit").inc();
+                self.obs_hit.inc();
                 return Some(v);
             }
             drop(shard);
             self.collisions.fetch_add(1, Ordering::Relaxed);
             self.misses.fetch_add(1, Ordering::Relaxed);
-            wsccl_obs::global().counter("serve.cache.collision").inc();
-            wsccl_obs::global().counter("serve.cache.miss").inc();
+            self.obs_collision.inc();
+            self.obs_miss.inc();
             return None;
         }
         drop(shard);
         self.misses.fetch_add(1, Ordering::Relaxed);
-        wsccl_obs::global().counter("serve.cache.miss").inc();
+        self.obs_miss.inc();
         None
     }
 
@@ -231,7 +247,7 @@ impl EmbeddingCache {
             shard.map.remove(&old_key);
             shard.free.push(victim);
             self.evictions.fetch_add(1, Ordering::Relaxed);
-            wsccl_obs::global().counter("serve.cache.evict").inc();
+            self.obs_evict.inc();
         }
         let node = Node { key, edges: path.edges().into(), value, prev: NIL, next: NIL };
         let idx = match shard.free.pop() {

@@ -3,11 +3,13 @@
 //! A [`Server`] owns one dedicated thread running a plain blocking loop: it
 //! waits on a `std::sync` request queue, serves what has arrived as one
 //! batch, and between batches ticks an optional checkpoint watcher. Any
-//! number of threads hold cheap [`Client`] handles, each call waiting on its
-//! own reply slot; their embed/ETA calls are coalesced into batched f32
-//! forward passes through the active SIMD kernel backend, answered from a
-//! sharded LRU path-embedding cache when warm, and keep flowing across hot
-//! checkpoint reloads (`Arc` swap; zero dropped requests).
+//! number of threads hold cheap [`Client`] handles. A single embed, ETA or
+//! k-NN call whose key is in the sharded LRU path-embedding cache is
+//! answered on the calling thread, with no queue round trip; every other
+//! call waits on its own reply slot while the serve thread coalesces the
+//! misses into batched f32 forward passes through the active SIMD kernel
+//! backend. Calls keep flowing across hot checkpoint reloads (`Arc` swap
+//! and cache clear before the reply; zero dropped requests).
 //!
 //! ```no_run
 //! # use wsccl_serve::{Server, ServeConfig};
@@ -21,8 +23,8 @@
 //! # }
 //! ```
 //!
-//! See DESIGN.md §12 for the architecture (serving loop, batcher, cache key
-//! semantics, reload protocol, error budget).
+//! See DESIGN.md §12 for the architecture (request path, serving loop,
+//! batcher, cache key semantics, reload protocol and its ordering).
 
 pub mod cache;
 pub mod server;

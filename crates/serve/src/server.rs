@@ -1,6 +1,22 @@
-//! The serving loop: one dedicated thread that owns the model, cache and
-//! counters and runs a plain blocking loop — wait for a request (or the
-//! checkpoint watcher's next poll tick), serve a batch, tick the watcher.
+//! The serving loop and its clients. One dedicated thread owns the model
+//! and runs a plain blocking loop — wait for a request (or the checkpoint
+//! watcher's next poll tick), serve a batch, tick the watcher. What callers
+//! may read without it lives in one [`Shared`] behind an `Arc`: the request
+//! queue and its closed flag, the embedding cache, the ETA head and vector
+//! index slots, and the counters.
+//!
+//! # Request path
+//!
+//! A single [`Client::embed`], [`Client::eta`] or [`Client::knn`] call first
+//! probes the cache on the calling thread. On a hit it is answered there —
+//! the ETA head or index scan runs on the caller too — with no queue push and
+//! no thread wake. Misses, empty paths, `embed_many` groups and control
+//! requests go through the queue. A miss is queued flagged as probed, so the
+//! serve thread does not probe again and every lookup counts exactly one hit
+//! or one miss. Both paths turn an embedding into the call's answer through
+//! the same [`Shared::answer`]. A hit needs no edge check: only embeddings of
+//! validated paths are inserted, and the stored edge sequence must equal the
+//! probe's.
 //!
 //! # Queue and replies
 //!
@@ -10,10 +26,11 @@
 //! sender is dropped unfilled answers [`ServeError::Closed`]. When the serve
 //! thread exits, normally or by unwinding, the queue is closed and every
 //! request still in it, or pushed later, is dropped — so a call made after
-//! shutdown returns `Closed` instead of waiting forever. `std::sync::mpsc`
-//! is not used: its receive spins before parking, which costs the other
-//! side of the round trip its time slice when client and server share one
-//! CPU.
+//! shutdown returns `Closed` instead of waiting forever. The caller-thread
+//! hit path reads the same closed flag first, so a cached key answers
+//! `Closed` after shutdown too. `std::sync::mpsc` is not used: its receive
+//! spins before parking, which costs the other side of the round trip its
+//! time slice when client and server share one CPU.
 //!
 //! # Batching
 //!
@@ -28,19 +45,25 @@
 //!
 //! # Hot reload
 //!
-//! The model lives in an `Arc<TrainedRepresenter>`. Reload (from a watched
-//! [`EngineCheckpoint`] file or an explicit [`Client::reload`]) builds the
-//! replacement off the old Arc's shared encoder tables, then swaps the Arc
-//! and clears the cache. In-flight requests are never dropped: they sit in
-//! the queue during the swap and are served by the new model. The watcher
-//! ticks between batches whenever its poll interval has elapsed, so a queue
-//! that never empties cannot starve reloads. The cache's epoch fence
-//! guarantees a batch computed against the old model can never repopulate
-//! the cache after the swap (see [`EmbeddingCache::insert`]).
+//! The model lives in an `Arc<TrainedRepresenter>` that only the serve
+//! thread reads. Reload (from a watched [`EngineCheckpoint`] file or an
+//! explicit [`Client::reload`]) builds the replacement off the old Arc's
+//! shared encoder tables, then swaps the Arc and clears the cache before
+//! the reply is sent; [`Client::set_eta_head`] and [`Client::set_index`]
+//! store into the shared slots before replying. Only the serve thread
+//! inserts into the cache, always from the model it holds, so once a
+//! reload returns no call can get the replaced model's, head's or index's
+//! answer. In-flight requests are never dropped: they sit in the queue
+//! during the swap and are served by the new model. The watcher ticks
+//! between batches whenever its poll interval has elapsed, so a queue that
+//! never empties cannot starve reloads. A watched checkpoint whose weights
+//! are not all finite, or whose parameter shapes differ from the live
+//! model's, is rejected and the old model keeps serving.
 
 use std::collections::VecDeque;
 use std::path::PathBuf as FsPathBuf;
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, PoisonError, RwLock};
 use std::time::{Duration, Instant, SystemTime};
 
 use wsccl_core::encoder::BatchScratch;
@@ -48,6 +71,7 @@ use wsccl_core::persist::EngineCheckpoint;
 use wsccl_core::TrainedRepresenter;
 use wsccl_downstream::index::{Neighbor, VectorIndex};
 use wsccl_downstream::GbRegressor;
+use wsccl_obs::Histogram;
 use wsccl_roadnet::Path;
 use wsccl_traffic::SimTime;
 
@@ -111,8 +135,12 @@ impl std::error::Error for ServeError {}
 /// final word of [`Server::shutdown`].
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ServeStats {
-    /// Embedding/ETA items answered (an `embed_many` of k counts k).
+    /// Embedding/ETA/k-NN items answered, by either thread (an
+    /// `embed_many` of k counts k).
     pub served: u64,
+    /// Of `served`, the cache hits answered on the calling thread, with no
+    /// queue round trip.
+    pub caller_hits: u64,
     /// Forward-pass batches executed (cache-complete batches run none).
     pub batches: u64,
     /// Embeddings computed through the batched forward pass.
@@ -120,10 +148,31 @@ pub struct ServeStats {
     /// Top-k similarity searches answered through the installed index.
     pub knn_served: u64,
     pub reloads: u64,
-    /// Reloads rejected (load error or encoder-config mismatch).
+    /// Reloads rejected (load error, encoder-config or parameter-shape
+    /// mismatch, non-finite weights).
     pub reload_errors: u64,
     pub max_batch_seen: usize,
     pub cache: CacheStats,
+}
+
+/// The live counters behind [`ServeStats`]; client threads bump
+/// `caller_hits` and `knn_served` on the hit path.
+#[derive(Default)]
+struct Counters {
+    /// Items answered by the serve thread; [`ServeStats::served`] adds
+    /// `caller_hits`.
+    served: AtomicU64,
+    caller_hits: AtomicU64,
+    batches: AtomicU64,
+    batched_embeds: AtomicU64,
+    knn_served: AtomicU64,
+    reloads: AtomicU64,
+    reload_errors: AtomicU64,
+    max_batch_seen: AtomicUsize,
+}
+
+fn bump(counter: &AtomicU64, n: u64) {
+    counter.fetch_add(n, Ordering::Relaxed);
 }
 
 enum SlotState<T> {
@@ -188,12 +237,34 @@ impl<T> Drop for Reply<T> {
     }
 }
 
+/// What a single call makes of its path's embedding.
+#[derive(Clone, Copy)]
+enum Want {
+    Embedding,
+    Eta,
+    /// Top-k similar trips through the installed index.
+    Knn(usize),
+}
+
+/// A single call's answer, one variant per [`Want`].
+#[derive(Debug)]
+enum Answer {
+    Embedding(Arc<Vec<f64>>),
+    Eta(f64),
+    Knn(Vec<Neighbor>),
+}
+
 enum Request {
-    Embed {
+    /// One embed, ETA or k-NN call the calling thread could not answer from
+    /// the cache. `probed` says the caller already probed (and counted a
+    /// miss), so the serve thread must not probe again.
+    Single {
         path: Path,
         departure: SimTime,
+        want: Want,
+        probed: bool,
         enq: Instant,
-        resp: Reply<Result<Arc<Vec<f64>>, ServeError>>,
+        resp: Reply<Result<Answer, ServeError>>,
     },
     /// One round trip for several queries (e.g. the k candidate routes of a
     /// ranking request): one queue wake and one reply wake regardless of
@@ -203,24 +274,8 @@ enum Request {
         enq: Instant,
         resp: Reply<Vec<Result<Arc<Vec<f64>>, ServeError>>>,
     },
-    Eta {
-        path: Path,
-        departure: SimTime,
-        enq: Instant,
-        resp: Reply<Result<f64, ServeError>>,
-    },
-    /// Top-k similar trips: the query path's embedding rides the same fused
-    /// forward pass / cache as Embed and Eta; the index search runs on the
-    /// resolved embedding during the reply sweep.
-    Knn {
-        path: Path,
-        departure: SimTime,
-        k: usize,
-        enq: Instant,
-        resp: Reply<Result<Vec<Neighbor>, ServeError>>,
-    },
     SetEtaHead {
-        head: Box<GbRegressor>,
+        head: GbRegressor,
         resp: Reply<()>,
     },
     SetIndex {
@@ -259,35 +314,36 @@ fn take_batch(items: &mut VecDeque<Request>, max_items: usize, batch: &mut Vec<R
     }
 }
 
-#[derive(Default)]
-struct QueueState {
-    items: VecDeque<Request>,
-    /// Set once the serve thread has stopped taking requests.
-    closed: bool,
-}
-
 /// The request queue between client threads and the serve thread.
 #[derive(Default)]
 struct Queue {
-    state: Mutex<QueueState>,
+    items: Mutex<VecDeque<Request>>,
     ready: Condvar,
+    /// Set once the serve thread has stopped taking requests. Written only
+    /// under the `items` lock, so a push either lands before the close or
+    /// sees it; read without the lock by the caller-thread hit path.
+    closed: AtomicBool,
 }
 
 impl Queue {
-    fn lock(&self) -> std::sync::MutexGuard<'_, QueueState> {
-        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    fn lock(&self) -> std::sync::MutexGuard<'_, VecDeque<Request>> {
+        self.items.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn is_closed(&self) -> bool {
+        self.closed.load(Ordering::Acquire)
     }
 
     /// Enqueue `req`; on a closed queue it is dropped, which answers its
     /// reply slot with `Closed`.
     fn push(&self, req: Request) {
         let mut q = self.lock();
-        if q.closed {
+        if self.is_closed() {
             drop(q);
             drop(req);
             return;
         }
-        q.items.push_back(req);
+        q.push_back(req);
         drop(q);
         self.ready.notify_one();
     }
@@ -296,7 +352,7 @@ impl Queue {
     /// `max_items` items into `batch` (nothing on a deadline timeout).
     fn pop_batch(&self, max_items: usize, deadline: Option<Instant>, batch: &mut Vec<Request>) {
         let mut q = self.lock();
-        while q.items.is_empty() {
+        while q.is_empty() {
             q = match deadline {
                 None => self.ready.wait(q).unwrap_or_else(PoisonError::into_inner),
                 Some(d) => {
@@ -308,14 +364,14 @@ impl Queue {
                 }
             };
         }
-        take_batch(&mut q.items, max_items, batch);
+        take_batch(&mut q, max_items, batch);
     }
 
     /// Stop accepting requests and hand back everything still queued.
     fn close(&self) -> VecDeque<Request> {
         let mut q = self.lock();
-        q.closed = true;
-        std::mem::take(&mut q.items)
+        self.closed.store(true, Ordering::Release);
+        std::mem::take(&mut *q)
     }
 }
 
@@ -329,59 +385,133 @@ impl Drop for CloseOnExit<'_> {
     }
 }
 
-struct State {
-    model: Arc<TrainedRepresenter>,
-    eta_head: Option<Box<GbRegressor>>,
-    index: Option<Arc<dyn VectorIndex>>,
+/// Everything client threads and the serve thread both reach.
+struct Shared {
+    queue: Queue,
     cache: EmbeddingCache,
-    scratch: BatchScratch,
-    stats: ServeStats,
+    eta_head: RwLock<Option<Arc<GbRegressor>>>,
+    index: RwLock<Option<Arc<dyn VectorIndex>>>,
+    counters: Counters,
 }
 
-impl State {
-    fn swap_model(&mut self, rep: TrainedRepresenter) {
-        self.model = Arc::new(rep);
-        self.stats.reloads += 1;
-        wsccl_obs::global().counter("serve.reloads").inc();
-        // Clear *after* the swap: the serve thread runs no batch in
-        // between; the epoch bump fences any conceptually-older insert
-        // regardless.
-        self.cache.clear();
+/// Clone what a shared slot holds; the lock is held only for the clone.
+fn load<T: ?Sized>(slot: &RwLock<Option<Arc<T>>>) -> Option<Arc<T>> {
+    slot.read().unwrap_or_else(PoisonError::into_inner).clone()
+}
+
+fn store<T: ?Sized>(slot: &RwLock<Option<Arc<T>>>, value: Arc<T>) {
+    *slot.write().unwrap_or_else(PoisonError::into_inner) = Some(value);
+}
+
+impl Shared {
+    /// Turn a path's embedding into a single call's answer. The one place
+    /// this happens, for cache hits on the calling thread and for the serve
+    /// thread's reply sweep alike.
+    fn answer(&self, want: Want, emb: Arc<Vec<f64>>) -> Result<Answer, ServeError> {
+        Ok(match want {
+            Want::Embedding => Answer::Embedding(emb),
+            Want::Eta => {
+                let head = load(&self.eta_head).ok_or(ServeError::NoEtaHead)?;
+                Answer::Eta(head.predict(&emb))
+            }
+            Want::Knn(k) => {
+                let index = load(&self.index).ok_or(ServeError::NoIndex)?;
+                let q: Vec<f32> = emb.iter().map(|&x| x as f32).collect();
+                bump(&self.counters.knn_served, 1);
+                Answer::Knn(index.knn(&q, k))
+            }
+        })
     }
 
     fn stats(&self) -> ServeStats {
-        ServeStats { cache: self.cache.stats(), ..self.stats }
+        let c = &self.counters;
+        let get = |a: &AtomicU64| a.load(Ordering::Relaxed);
+        let caller_hits = get(&c.caller_hits);
+        ServeStats {
+            served: get(&c.served) + caller_hits,
+            caller_hits,
+            batches: get(&c.batches),
+            batched_embeds: get(&c.batched_embeds),
+            knn_served: get(&c.knn_served),
+            reloads: get(&c.reloads),
+            reload_errors: get(&c.reload_errors),
+            max_batch_seen: c.max_batch_seen.load(Ordering::Relaxed),
+            cache: self.cache.stats(),
+        }
+    }
+}
+
+/// The serve thread's own state.
+struct State {
+    shared: Arc<Shared>,
+    model: Arc<TrainedRepresenter>,
+    scratch: BatchScratch,
+    /// The global registry's `serve.queue_us`, `serve.batch_size` and
+    /// `serve.batch_us`, resolved once.
+    queue_us: Histogram,
+    batch_size: Histogram,
+    batch_us: Histogram,
+}
+
+impl State {
+    fn new(shared: Arc<Shared>, rep: TrainedRepresenter) -> Self {
+        let obs = wsccl_obs::global();
+        Self {
+            shared,
+            model: Arc::new(rep),
+            scratch: BatchScratch::default(),
+            queue_us: obs.latency_us("serve.queue_us"),
+            batch_size: obs.histogram("serve.batch_size", &[1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0]),
+            batch_us: obs.latency_us("serve.batch_us"),
+        }
+    }
+
+    /// Swap the model and clear the cache, both before any reply goes out:
+    /// the caller-thread hit path reads only the cache, and every entry
+    /// inserted after the clear comes from the new model.
+    fn swap_model(&mut self, rep: TrainedRepresenter) {
+        self.model = Arc::new(rep);
+        bump(&self.shared.counters.reloads, 1);
+        wsccl_obs::global().counter("serve.reloads").inc();
+        self.shared.cache.clear();
     }
 }
 
 /// A handle to a running server thread. Cloneable request access goes
 /// through [`Server::client`]; dropping the `Server` shuts it down.
 pub struct Server {
-    queue: Arc<Queue>,
+    shared: Arc<Shared>,
     handle: Option<std::thread::JoinHandle<()>>,
 }
 
-/// Cheap cloneable client handle; safe to use from any thread. Calls block
-/// until the server responds.
+/// Cheap cloneable client handle; safe to use from any thread. A call
+/// answered from the cache returns at once; any other blocks until the
+/// server responds.
 #[derive(Clone)]
 pub struct Client {
-    queue: Arc<Queue>,
+    shared: Arc<Shared>,
 }
 
 impl Server {
     /// Spawn the serving thread around a trained representer.
     pub fn spawn(rep: TrainedRepresenter, cfg: ServeConfig) -> Server {
-        let queue = Arc::new(Queue::default());
-        let server_queue = Arc::clone(&queue);
+        let shared = Arc::new(Shared {
+            queue: Queue::default(),
+            cache: EmbeddingCache::new(cfg.cache_capacity, cfg.cache_shards),
+            eta_head: RwLock::new(None),
+            index: RwLock::new(None),
+            counters: Counters::default(),
+        });
+        let state = State::new(Arc::clone(&shared), rep);
         let handle = std::thread::Builder::new()
             .name("wsccl-serve".into())
-            .spawn(move || run_server(rep, cfg, &server_queue))
+            .spawn(move || run_server(state, cfg))
             .expect("spawn serve thread");
-        Server { queue, handle: Some(handle) }
+        Server { shared, handle: Some(handle) }
     }
 
     pub fn client(&self) -> Client {
-        Client { queue: Arc::clone(&self.queue) }
+        Client { shared: Arc::clone(&self.shared) }
     }
 
     /// Drain every queued request, stop the thread, and return final stats.
@@ -409,28 +539,51 @@ impl Client {
     /// Queue the request built around a fresh reply slot and wait for it.
     fn call<T>(&self, request: impl FnOnce(Reply<T>) -> Request) -> Result<T, ServeError> {
         let (resp, slot) = reply();
-        self.queue.push(request(resp));
+        self.shared.queue.push(request(resp));
         slot.wait()
+    }
+
+    /// Answer one embed, ETA or k-NN call: from the cache on this thread
+    /// when the key is warm, through the queue otherwise.
+    fn single(&self, path: &Path, departure: SimTime, want: Want) -> Result<Answer, ServeError> {
+        let sh = &*self.shared;
+        if sh.queue.is_closed() {
+            return Err(ServeError::Closed);
+        }
+        // Empty paths skip the probe; the serve thread answers `EmptyPath`.
+        let probed = !path.is_empty() && sh.cache.enabled();
+        if probed {
+            if let Some(emb) = sh.cache.get(&EmbeddingCache::key(path, departure), path) {
+                bump(&sh.counters.caller_hits, 1);
+                return sh.answer(want, emb);
+            }
+        }
+        self.call(|resp| Request::Single {
+            path: path.clone(),
+            departure,
+            want,
+            probed,
+            enq: Instant::now(),
+            resp,
+        })?
     }
 
     /// Embedding for `path` departing at `departure`; served from the LRU
     /// cache when warm, otherwise computed in the next batch.
     pub fn embed(&self, path: &Path, departure: SimTime) -> Result<Arc<Vec<f64>>, ServeError> {
-        self.call(|resp| Request::Embed {
-            path: path.clone(),
-            departure,
-            enq: Instant::now(),
-            resp,
-        })?
+        match self.single(path, departure, Want::Embedding)? {
+            Answer::Embedding(emb) => Ok(emb),
+            other => unreachable!("embed answered with {other:?}"),
+        }
     }
 
     /// Embeddings for several `(path, departure)` queries in one round trip
     /// — the bulk shape for route ranking, where each user query carries k
     /// candidate paths. The whole group shares one queue wake and one reply
     /// wake, and its cache misses are fused into the same batched forward
-    /// pass, so per-embedding overhead is `1/k` of [`Client::embed`]'s.
-    /// Results come back in query order; an empty path or one with an
-    /// unknown edge fails only its own slot.
+    /// pass, so per-embedding overhead is `1/k` of a queued
+    /// [`Client::embed`]'s. Results come back in query order; an empty path
+    /// or one with an unknown edge fails only its own slot.
     pub fn embed_many(
         &self,
         queries: &[(&Path, SimTime)],
@@ -448,7 +601,10 @@ impl Client {
     /// Estimated travel time (seconds) via the installed ETA head over the
     /// (possibly cached) embedding.
     pub fn eta(&self, path: &Path, departure: SimTime) -> Result<f64, ServeError> {
-        self.call(|resp| Request::Eta { path: path.clone(), departure, enq: Instant::now(), resp })?
+        match self.single(path, departure, Want::Eta)? {
+            Answer::Eta(eta) => Ok(eta),
+            other => unreachable!("eta answered with {other:?}"),
+        }
     }
 
     /// Top-k most similar stored trips to `(path, departure)` via the
@@ -461,18 +617,16 @@ impl Client {
         departure: SimTime,
         k: usize,
     ) -> Result<Vec<Neighbor>, ServeError> {
-        self.call(|resp| Request::Knn {
-            path: path.clone(),
-            departure,
-            k,
-            enq: Instant::now(),
-            resp,
-        })?
+        match self.single(path, departure, Want::Knn(k))? {
+            Answer::Knn(neighbors) => Ok(neighbors),
+            other => unreachable!("knn answered with {other:?}"),
+        }
     }
 
-    /// Install (or replace) the ETA regression head.
+    /// Install (or replace) the ETA regression head. Returns once every
+    /// later call uses it.
     pub fn set_eta_head(&self, head: GbRegressor) -> Result<(), ServeError> {
-        self.call(|resp| Request::SetEtaHead { head: Box::new(head), resp })
+        self.call(|resp| Request::SetEtaHead { head, resp })
     }
 
     /// Install (or replace) the similarity-search index backing
@@ -484,7 +638,8 @@ impl Client {
     }
 
     /// Hot-swap the model in-process (the push-style alternative to the
-    /// checkpoint watcher). Returns once the swap is visible.
+    /// checkpoint watcher). Returns once the swap is visible: no later call
+    /// gets the replaced model's answer, cached or not.
     pub fn reload(&self, rep: TrainedRepresenter) -> Result<(), ServeError> {
         self.call(|resp| Request::Reload { rep: Box::new(rep), resp })
     }
@@ -494,16 +649,10 @@ impl Client {
     }
 }
 
-fn run_server(rep: TrainedRepresenter, cfg: ServeConfig, queue: &Queue) {
+fn run_server(mut state: State, cfg: ServeConfig) {
+    let shared = Arc::clone(&state.shared);
+    let queue = &shared.queue;
     let _close = CloseOnExit(queue);
-    let mut state = State {
-        model: Arc::new(rep),
-        eta_head: None,
-        index: None,
-        cache: EmbeddingCache::new(cfg.cache_capacity, cfg.cache_shards),
-        scratch: BatchScratch::default(),
-        stats: ServeStats::default(),
-    };
     let max_batch = cfg.max_batch.max(1);
     let mut watcher = cfg.watch.map(|path| Watcher::new(path, cfg.reload_poll));
     let mut batch = Vec::with_capacity(max_batch);
@@ -517,7 +666,7 @@ fn run_server(rep: TrainedRepresenter, cfg: ServeConfig, queue: &Queue) {
                 take_batch(&mut rest, max_batch, &mut batch);
                 process_batch(&mut state, &mut batch);
             }
-            resp.send(state.stats());
+            resp.send(shared.stats());
             return;
         }
         if let Some(w) = &mut watcher {
@@ -531,23 +680,24 @@ fn run_server(rep: TrainedRepresenter, cfg: ServeConfig, queue: &Queue) {
 /// embedding work of the same batch.
 fn process_batch(st: &mut State, batch: &mut Vec<Request>) -> Option<Reply<ServeStats>> {
     let started = Instant::now();
+    let sh = Arc::clone(&st.shared);
     let mut shutdown = None;
     let mut work: Vec<Request> = Vec::with_capacity(batch.len());
     for req in batch.drain(..) {
         match req {
             Request::SetEtaHead { head, resp } => {
-                st.eta_head = Some(head);
+                store(&sh.eta_head, Arc::new(head));
                 resp.send(());
             }
             Request::SetIndex { index, resp } => {
-                st.index = Some(index);
+                store(&sh.index, index);
                 resp.send(());
             }
             Request::Reload { rep, resp } => {
                 st.swap_model(*rep);
                 resp.send(());
             }
-            Request::Stats { resp } => resp.send(st.stats()),
+            Request::Stats { resp } => resp.send(sh.stats()),
             Request::Shutdown { resp } => shutdown = Some(resp),
             other => work.push(other),
         }
@@ -556,34 +706,30 @@ fn process_batch(st: &mut State, batch: &mut Vec<Request>) -> Option<Reply<Serve
         return shutdown;
     }
 
-    let obs = wsccl_obs::global();
-    let queue_us = obs.latency_us("serve.queue_us");
     for req in &work {
         let enq = match req {
-            Request::Embed { enq, .. }
-            | Request::Eta { enq, .. }
-            | Request::Knn { enq, .. }
-            | Request::EmbedMany { enq, .. } => *enq,
+            Request::Single { enq, .. } | Request::EmbedMany { enq, .. } => *enq,
             _ => unreachable!("control requests were split off"),
         };
-        queue_us.record(enq.elapsed().as_nanos() as f64 / 1e3);
+        st.queue_us.record(enq.elapsed().as_nanos() as f64 / 1e3);
     }
 
-    // Resolve each embedding item (an Embed/Eta carries one, an EmbedMany
+    // Resolve each embedding item (a Single carries one, an EmbedMany
     // several) against the cache; batch the misses through one fused pass.
     // Items are flattened in request order so the reply sweep below walks
     // them with a cursor.
-    let epoch = st.cache.epoch();
+    let epoch = sh.cache.epoch();
     let mut embeddings: Vec<Result<Arc<Vec<f64>>, ServeError>> = Vec::new();
     {
-        let mut items: Vec<(&Path, SimTime)> = Vec::with_capacity(work.len());
+        // (path, departure, already probed on the calling thread)
+        let mut items: Vec<(&Path, SimTime, bool)> = Vec::with_capacity(work.len());
         for req in &work {
             match req {
-                Request::Embed { path, departure, .. }
-                | Request::Eta { path, departure, .. }
-                | Request::Knn { path, departure, .. } => items.push((path, *departure)),
+                Request::Single { path, departure, probed, .. } => {
+                    items.push((path, *departure, *probed))
+                }
                 Request::EmbedMany { queries, .. } => {
-                    items.extend(queries.iter().map(|(p, t)| (p, *t)))
+                    items.extend(queries.iter().map(|(p, t)| (p, *t, false)))
                 }
                 _ => unreachable!(),
             }
@@ -591,17 +737,18 @@ fn process_batch(st: &mut State, batch: &mut Vec<Request>) -> Option<Reply<Serve
         // Paths are checked against the live model before the cache probe:
         // an out-of-range edge would index past the encoder's tables.
         let num_edges = st.model.encoder_arc().num_edges();
-        let cache_on = st.cache.enabled();
+        let cache_on = sh.cache.enabled();
         let mut miss_idx: Vec<usize> = Vec::with_capacity(items.len());
-        for (i, &(path, departure)) in items.iter().enumerate() {
+        for (i, &(path, departure, probed)) in items.iter().enumerate() {
             embeddings.push(if path.is_empty() {
                 Err(ServeError::EmptyPath)
             } else if path.edges().iter().any(|e| e.index() >= num_edges) {
                 Err(ServeError::UnknownEdge)
             } else {
-                // Disabled cache: don't even hash the path.
-                let hit = cache_on
-                    .then(|| st.cache.get(&EmbeddingCache::key(path, departure), path))
+                // Disabled cache: don't even hash the path. A caller's miss
+                // was counted where it happened.
+                let hit = (cache_on && !probed)
+                    .then(|| sh.cache.get(&EmbeddingCache::key(path, departure), path))
                     .flatten();
                 hit.ok_or_else(|| {
                     miss_idx.push(i);
@@ -610,18 +757,19 @@ fn process_batch(st: &mut State, batch: &mut Vec<Request>) -> Option<Reply<Serve
             });
         }
         if !miss_idx.is_empty() {
-            let queries: Vec<(&Path, SimTime)> = miss_idx.iter().map(|&i| items[i]).collect();
+            let queries: Vec<(&Path, SimTime)> =
+                miss_idx.iter().map(|&i| (items[i].0, items[i].1)).collect();
             let computed = st.model.embed_batch_with(&queries, &mut st.scratch);
-            st.stats.batches += 1;
-            st.stats.batched_embeds += miss_idx.len() as u64;
-            st.stats.max_batch_seen = st.stats.max_batch_seen.max(miss_idx.len());
-            obs.histogram("serve.batch_size", &[1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0])
-                .record(miss_idx.len() as f64);
+            let c = &sh.counters;
+            bump(&c.batches, 1);
+            bump(&c.batched_embeds, miss_idx.len() as u64);
+            c.max_batch_seen.fetch_max(miss_idx.len(), Ordering::Relaxed);
+            st.batch_size.record(miss_idx.len() as f64);
             for (&i, emb) in miss_idx.iter().zip(computed) {
                 let emb = Arc::new(emb);
                 if cache_on {
-                    let (path, departure) = items[i];
-                    st.cache.insert(
+                    let (path, departure, _) = items[i];
+                    sh.cache.insert(
                         EmbeddingCache::key(path, departure),
                         path,
                         Arc::clone(&emb),
@@ -631,7 +779,7 @@ fn process_batch(st: &mut State, batch: &mut Vec<Request>) -> Option<Reply<Serve
                 embeddings[i] = Ok(emb);
             }
         }
-        st.stats.served += items.len() as u64;
+        bump(&sh.counters.served, items.len() as u64);
     }
 
     let mut results = embeddings.into_iter();
@@ -640,25 +788,12 @@ fn process_batch(st: &mut State, batch: &mut Vec<Request>) -> Option<Reply<Serve
             Request::EmbedMany { queries, resp, .. } => {
                 resp.send(results.by_ref().take(queries.len()).collect())
             }
-            Request::Embed { resp, .. } => resp.send(results.next().expect("one per item")),
-            Request::Eta { resp, .. } => {
-                resp.send(results.next().expect("one per item").and_then(|emb| {
-                    let head = st.eta_head.as_ref().ok_or(ServeError::NoEtaHead)?;
-                    Ok(head.predict(&emb))
-                }))
-            }
-            Request::Knn { k, resp, .. } => {
-                resp.send(results.next().expect("one per item").and_then(|emb| {
-                    let index = st.index.as_ref().ok_or(ServeError::NoIndex)?;
-                    let q: Vec<f32> = emb.iter().map(|&x| x as f32).collect();
-                    st.stats.knn_served += 1;
-                    Ok(index.knn(&q, k))
-                }))
-            }
+            Request::Single { want, resp, .. } => resp
+                .send(results.next().expect("one per item").and_then(|emb| sh.answer(want, emb))),
             _ => unreachable!(),
         }
     }
-    obs.latency_us("serve.batch_us").record(started.elapsed().as_nanos() as f64 / 1e3);
+    st.batch_us.record(started.elapsed().as_nanos() as f64 / 1e3);
     shutdown
 }
 
@@ -669,8 +804,8 @@ fn checkpoint_fingerprint(path: &FsPathBuf) -> Option<(SystemTime, u64)> {
 
 /// Polls the watched checkpoint file between batches; on change, waits one
 /// tick for the write to quiesce, then loads + validates + swaps. A load
-/// failure (partial write, version/config mismatch) is counted and skipped;
-/// the old model keeps serving.
+/// failure (partial write, version/config mismatch, reshaped or non-finite
+/// weights) is counted and skipped; the old model keeps serving.
 struct Watcher {
     path: FsPathBuf,
     poll: Duration,
@@ -702,7 +837,7 @@ impl Watcher {
             return;
         }
         if let Err(err) = try_reload(state, &self.path) {
-            state.stats.reload_errors += 1;
+            bump(&state.shared.counters.reload_errors, 1);
             wsccl_obs::global().counter("serve.reload.errors").inc();
             eprintln!("wsccl-serve: checkpoint reload from {} failed: {err}", self.path.display());
         }
@@ -719,6 +854,30 @@ fn try_reload(state: &mut State, path: &FsPathBuf) -> Result<(), String> {
     let incoming = serde_json::to_string(&cp.encoder_config).map_err(|e| e.to_string())?;
     if current != incoming {
         return Err("encoder config mismatch; restart to change architecture".into());
+    }
+    // Same config does not mean same tensors: a hand-edited or corrupt
+    // file can still carry a reshaped or non-finite parameter, which would
+    // panic the serve thread or serve NaN.
+    let live = state.model.params();
+    if cp.params.len() != live.len() {
+        return Err(format!("{} parameters, the live model has {}", cp.params.len(), live.len()));
+    }
+    for id in live.ids() {
+        let (got, want) = (cp.params.value(id), live.value(id));
+        // The length too: a deserialized tensor's data is not checked
+        // against its declared shape.
+        if got.shape() != want.shape() || got.data().len() != want.data().len() {
+            return Err(format!(
+                "parameter {} has shape {:?} ({} values), the live model's is {:?}",
+                live.name(id),
+                got.shape(),
+                got.data().len(),
+                want.shape()
+            ));
+        }
+        if got.data().iter().any(|v| !v.is_finite()) {
+            return Err(format!("parameter {} has a non-finite value", live.name(id)));
+        }
     }
     let name = state.model.name().to_string();
     let rep = TrainedRepresenter::from_parts(encoder, cp.params, cp.weights, name);

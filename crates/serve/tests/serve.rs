@@ -9,7 +9,8 @@ use std::time::Duration;
 use wsccl_core::encoder::{EncoderConfig, TemporalPathEncoder};
 use wsccl_core::{TrainedRepresenter, WscModel, WscclConfig};
 use wsccl_datagen::{CityDataset, DatasetConfig};
-use wsccl_downstream::{EtaRegression, GbConfig, Task};
+use wsccl_downstream::index::{to_f32, ExactIndex, VectorIndex};
+use wsccl_downstream::{EtaRegression, GbConfig, GbRegressor, Task};
 use wsccl_roadnet::CityProfile;
 use wsccl_serve::{ServeConfig, ServeError, Server};
 use wsccl_traffic::{PopLabeler, SimTime};
@@ -20,6 +21,30 @@ fn setup(seed: u64, epochs: usize) -> (CityDataset, WscModel, Arc<TemporalPathEn
     let mut model = WscModel::new(Arc::clone(&enc), WscclConfig::tiny(), seed);
     model.train(&ds.unlabeled, &PopLabeler, epochs);
     (ds, model, enc)
+}
+
+/// A same-weights twin of `model`, for computing expected answers directly.
+fn twin(model: &WscModel, enc: &Arc<TemporalPathEncoder>, name: &str) -> TrainedRepresenter {
+    let cp = model.checkpoint(11);
+    TrainedRepresenter::from_parts(Arc::clone(enc), cp.params, cp.weights, name)
+}
+
+/// An ETA head fitted on `rep`'s embeddings of the first 64 labeled trips,
+/// with travel times scaled by `scale` (so two scales give distinct heads).
+fn fit_head(rep: &TrainedRepresenter, ds: &CityDataset, scale: f64) -> GbRegressor {
+    let x: Vec<Vec<f64>> =
+        ds.tte.iter().take(64).map(|e| rep.embed(&e.path, e.departure)).collect();
+    let y: Vec<f64> = ds.tte.iter().take(64).map(|e| e.travel_time * scale).collect();
+    EtaRegression { gb: GbConfig { n_trees: 10, ..GbConfig::default() } }.fit(&x, &y)
+}
+
+/// An exact index over `rep`'s embeddings of the first 32 trips, with ids
+/// starting at `first_id`.
+fn index_over(rep: &TrainedRepresenter, ds: &CityDataset, first_id: u64) -> Arc<ExactIndex> {
+    let vecs: Vec<Vec<f32>> =
+        ds.unlabeled.iter().take(32).map(|s| to_f32(&rep.embed(&s.path, s.departure))).collect();
+    let ids: Vec<u64> = (first_id..first_id + vecs.len() as u64).collect();
+    Arc::new(ExactIndex::build(vecs[0].len(), &ids, &vecs))
 }
 
 #[test]
@@ -411,17 +436,237 @@ fn within<T: Send + 'static>(secs: u64, call: impl FnOnce() -> T + Send + 'stati
 #[test]
 fn calls_after_shutdown_return_closed() {
     let (ds, model, _enc) = setup(15, 1);
-    let server = Server::spawn(model.into_representer("WSCCL"), ServeConfig::default());
+    let rep = model.into_representer("WSCCL");
+    let (head, index) = (fit_head(&rep, &ds, 1.0), index_over(&rep, &ds, 0));
+    let server = Server::spawn(rep, ServeConfig::default());
     let client = server.client();
+    client.set_eta_head(head).unwrap();
+    client.set_index(index).unwrap();
     let probe = ds.unlabeled[0].clone();
-    client.embed(&probe.path, probe.departure).expect("served before shutdown");
-    server.shutdown();
+    let (path, dep) = (probe.path.clone(), probe.departure);
+    client.embed(&path, dep).expect("served before shutdown");
+    // The key is cached now: these are answered on the calling thread.
+    client.eta(&path, dep).expect("eta before shutdown");
+    client.knn(&path, dep, 3).expect("knn before shutdown");
+    let stats = server.shutdown();
+    assert_eq!(stats.caller_hits, 2, "eta and knn were cache hits: {stats:?}");
 
-    let late = client.clone();
-    let got = within(5, move || late.embed(&probe.path, probe.departure));
-    assert_eq!(got, Err(ServeError::Closed));
+    // A cached key must not outlive the server on the hit path either.
+    let (late, p) = (client.clone(), path.clone());
+    assert_eq!(within(5, move || late.embed(&p, dep)), Err(ServeError::Closed));
+    let (late, p) = (client.clone(), path.clone());
+    assert_eq!(within(5, move || late.eta(&p, dep)), Err(ServeError::Closed));
+    let (late, p) = (client.clone(), path.clone());
+    assert_eq!(within(5, move || late.knn(&p, dep, 3)), Err(ServeError::Closed));
     let late = client.clone();
     assert_eq!(within(5, move || late.stats().map(|s| s.served)), Err(ServeError::Closed));
+}
+
+/// Four clients hammer cached keys with embed, ETA and k-NN calls while the
+/// model, the ETA head and the index are replaced in turn. Each replacement
+/// bumps `phase` once its call has returned; a call that starts in phase
+/// `p` may only get an answer some phase `>= p` gives, so no call that
+/// starts after a reload returns sees the replaced model, head or index.
+#[test]
+fn hit_path_never_answers_from_a_replaced_model_head_or_index() {
+    use std::sync::atomic::AtomicUsize;
+    use wsccl_downstream::index::Neighbor;
+
+    let (ds, model, enc) = setup(19, 1);
+    let mut model2 = WscModel::new(Arc::clone(&enc), WscclConfig::tiny(), 77);
+    model2.train(&ds.unlabeled, &PopLabeler, 2);
+    let (rep1, rep2) = (twin(&model, &enc, "v1"), twin(&model2, &enc, "v2"));
+    let (head1, head2) = (fit_head(&rep1, &ds, 1.0), fit_head(&rep1, &ds, 2.0));
+    let (index1, index2) = (index_over(&rep1, &ds, 0), index_over(&rep2, &ds, 1000));
+
+    const K: usize = 5;
+    let keys: Vec<_> = ds.unlabeled.iter().take(12).map(|s| (&s.path, s.departure)).collect();
+    // Per key, the answer of each phase: (embedding, ETA, neighbours).
+    type Answers = (Vec<f64>, f64, Vec<Neighbor>);
+    let expected: Vec<[Answers; 4]> = keys
+        .iter()
+        .map(|&(p, t)| {
+            let (e1, e2) = (rep1.embed(p, t), rep2.embed(p, t));
+            let answer = |e: &Vec<f64>, head: &GbRegressor, index: &ExactIndex| {
+                (e.clone(), head.predict(e), index.knn(&to_f32(e), K))
+            };
+            [
+                answer(&e1, &head1, &index1),
+                answer(&e2, &head1, &index1),
+                answer(&e2, &head2, &index1),
+                answer(&e2, &head2, &index2),
+            ]
+        })
+        .collect();
+    for (a, name) in [(0, "model"), (1, "head"), (2, "index")] {
+        let differs = |x: &[Answers; 4]| match a {
+            0 => x[0].0 != x[1].0,
+            1 => x[1].1 != x[2].1,
+            _ => x[2].2 != x[3].2,
+        };
+        assert!(expected.iter().all(differs), "replacing the {name} must change every answer");
+    }
+
+    let server = Server::spawn(model.into_representer("v1"), ServeConfig::default());
+    let control = server.client();
+    control.set_eta_head(head1).unwrap();
+    control.set_index(Arc::clone(&index1) as Arc<dyn VectorIndex>).unwrap();
+    for &(p, t) in &keys {
+        control.embed(p, t).unwrap();
+    }
+    let warm = control.stats().unwrap();
+
+    let phase = AtomicUsize::new(0);
+    let stop = AtomicBool::new(false);
+    let checked: [std::sync::atomic::AtomicU64; 4] = Default::default();
+    std::thread::scope(|s| {
+        for t in 0..4usize {
+            let client = server.client();
+            let (phase, stop, checked, keys, expected) =
+                (&phase, &stop, &checked, &keys, &expected);
+            s.spawn(move || {
+                let mut i = t;
+                while !stop.load(Ordering::Relaxed) {
+                    let p = phase.load(Ordering::Acquire);
+                    let k = i % keys.len();
+                    let (path, dep) = keys[k];
+                    let allowed = &expected[k][p..];
+                    let ok = match i % 3 {
+                        0 => {
+                            let got = client.embed(path, dep).expect("embed served");
+                            allowed.iter().any(|a| *got == a.0)
+                        }
+                        1 => {
+                            let got = client.eta(path, dep).expect("eta served");
+                            allowed.iter().any(|a| got.to_bits() == a.1.to_bits())
+                        }
+                        _ => {
+                            let got = client.knn(path, dep, K).expect("knn served");
+                            allowed.iter().any(|a| got == a.2)
+                        }
+                    };
+                    assert!(ok, "call {i} (key {k}) started in phase {p} got a stale answer");
+                    checked[p].fetch_add(1, Ordering::Relaxed);
+                    i += 4;
+                }
+            });
+        }
+        let pause = || std::thread::sleep(Duration::from_millis(40));
+        pause();
+        control.reload(twin(&model2, &enc, "v2")).unwrap();
+        phase.store(1, Ordering::Release);
+        pause();
+        control.set_eta_head(head2).unwrap();
+        phase.store(2, Ordering::Release);
+        pause();
+        control.set_index(index2).unwrap();
+        phase.store(3, Ordering::Release);
+        pause();
+        stop.store(true, Ordering::Relaxed);
+    });
+
+    let stats = server.shutdown();
+    for (p, n) in checked.iter().enumerate() {
+        assert!(n.load(Ordering::Relaxed) > 0, "no call was checked in phase {p}");
+    }
+    assert_eq!(stats.reloads, 1);
+    assert!(
+        stats.caller_hits - warm.caller_hits > stats.batched_embeds - warm.batched_embeds,
+        "the hammer must mostly take the hit path: {stats:?}"
+    );
+}
+
+/// A miss on the calling thread is queued flagged as probed, so the serve
+/// thread resolves it without probing again: every lookup counts exactly one
+/// hit or one miss, wherever it happened.
+#[test]
+fn every_lookup_counts_one_hit_or_one_miss() {
+    let (ds, model, _enc) = setup(22, 1);
+    let server = Server::spawn(model.into_representer("WSCCL"), ServeConfig::default());
+    let client = server.client();
+    let keys: Vec<_> = ds.unlabeled.iter().take(6).map(|s| (&s.path, s.departure)).collect();
+    let n = keys.len() as u64;
+
+    // Cold keys: each misses on the caller and is computed by the server.
+    for &(p, t) in &keys {
+        client.embed(p, t).unwrap();
+    }
+    let s = client.stats().unwrap();
+    assert_eq!((s.cache.hits, s.cache.misses, s.batched_embeds), (0, n, n), "{s:?}");
+    assert_eq!(s.caller_hits, 0);
+
+    // Warm keys: hits on the caller, then hits on the serve thread.
+    for &(p, t) in &keys {
+        client.embed(p, t).unwrap();
+    }
+    client.embed_many(&keys).unwrap();
+    // A path with an unknown edge misses on the caller, once.
+    let bad = wsccl_roadnet::Path::new_unchecked(vec![wsccl_roadnet::EdgeId(u32::MAX)]);
+    assert_eq!(client.eta(&bad, keys[0].1), Err(ServeError::UnknownEdge));
+
+    let s = server.shutdown();
+    let lookups = 3 * n + 1;
+    assert_eq!((s.cache.hits, s.cache.misses), (2 * n, n + 1), "{s:?}");
+    assert_eq!(s.cache.hits + s.cache.misses, lookups);
+    assert_eq!(s.caller_hits, n);
+    assert_eq!(s.served, lookups, "every item is answered once, by one thread");
+    assert_eq!(s.batched_embeds, n, "warm keys are never recomputed");
+}
+
+/// The watcher refuses a checkpoint whose weights are not all finite or do
+/// not have the live model's shapes; the old model keeps serving, bit for
+/// bit, and each refusal counts in `reload_errors`.
+#[test]
+fn watcher_rejects_non_finite_and_reshaped_checkpoints() {
+    let (ds, mut model, enc) = setup(23, 1);
+    let rep = twin(&model, &enc, "v1");
+    let probe = ds.unlabeled[3].clone();
+    let fresh = ds.unlabeled[4].clone();
+    let (before, fresh_before) =
+        (rep.embed(&probe.path, probe.departure), rep.embed(&fresh.path, fresh.departure));
+
+    let dir = std::env::temp_dir().join(format!("wsccl-serve-reject-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let cp_path = dir.join("model.ckpt");
+    let server = Server::spawn(
+        rep,
+        ServeConfig {
+            watch: Some(cp_path.clone()),
+            reload_poll: Duration::from_millis(10),
+            ..ServeConfig::default()
+        },
+    );
+    let client = server.client();
+    assert_eq!(*client.embed(&probe.path, probe.departure).unwrap(), before);
+
+    // Further-trained weights: had either file gone live, answers would move.
+    model.train(&ds.unlabeled, &PopLabeler, 1);
+    let publish = |cp: &wsccl_core::persist::EngineCheckpoint, errors: u64| {
+        let tmp = dir.join("model.ckpt.tmp");
+        cp.save(&tmp).unwrap();
+        std::fs::rename(&tmp, &cp_path).unwrap();
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while client.stats().unwrap().reload_errors < errors {
+            assert!(std::time::Instant::now() < deadline, "checkpoint {errors} never rejected");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+    };
+    let mut poisoned = model.checkpoint(11);
+    let id = poisoned.params.ids().last().unwrap();
+    poisoned.params.value_mut(id).data_mut()[0] = f64::NAN;
+    publish(&poisoned, 1);
+
+    let mut reshaped = model.checkpoint(11);
+    let (r, c) = reshaped.params.value(id).shape();
+    *reshaped.params.value_mut(id) = wsccl_nn::Tensor::zeros(r + 1, c);
+    publish(&reshaped, 2);
+
+    assert_eq!(*client.embed(&probe.path, probe.departure).unwrap(), before);
+    let got = client.embed(&fresh.path, fresh.departure).unwrap();
+    assert_eq!(*got, fresh_before, "an uncached path is computed by the old model");
+    let stats = server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!((stats.reloads, stats.reload_errors), (0, 2));
 }
 
 #[test]
