@@ -73,7 +73,7 @@ impl BertModel {
 }
 
 /// Masked-edge prediction over the unlabeled pool, as seen by the engine.
-/// The mask position and decoy edges are drawn from the per-step shard RNG.
+/// The mask position and decoy edges are drawn from the per-step RNG.
 struct BertTrainable<'a> {
     model: &'a BertModel,
     ef: &'a EdgeFeaturizer,

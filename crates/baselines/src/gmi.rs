@@ -33,7 +33,7 @@ impl Default for GmiConfig {
 }
 
 /// One FMI step per epoch, as seen by the engine. Pair sampling happens
-/// inside `build_loss` from the per-step shard RNG.
+/// inside `build_loss` from the per-step RNG.
 struct GmiTrainable<'a> {
     enc: &'a Linear,
     critic: &'a Linear,

@@ -55,7 +55,7 @@ fn encode(
 }
 
 /// Local–global MI maximization, as seen by the engine. Each step samples its
-/// own batch of paths from the per-step shard RNG.
+/// own batch of paths from the per-step RNG.
 struct InfoGraphTrainable<'a> {
     l1: &'a Linear,
     l2: &'a Linear,

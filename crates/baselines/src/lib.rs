@@ -24,7 +24,7 @@
 //! * [`deepgtt`] — travel-time-specific generative-style model: per-edge
 //!   speed MLP conditioned on departure time.
 //! * [`hmtrl`] — GRU + self-attention multi-task route representation.
-//! * [`gcn`] / [`stgcn`] — graph-convolutional per-edge travel-time
+//! * [`gcn`] (GCN and STGCN) — graph-convolutional per-edge travel-time
 //!   predictors (path time = sum of edge times); STGCN adds temporal input.
 //!   These two predict travel time directly and do not produce generic
 //!   representations (the paper excludes them from ranking/recommendation).

@@ -59,7 +59,7 @@ fn encode(g: &mut Graph<'_>, lstm: &Lstm, feats: &[Vec<f64>]) -> (NodeId, Vec<No
 /// Global–local MI with curriculum negatives, as seen by the engine. The
 /// hardness fraction is refreshed from the global epoch counter each time an
 /// epoch's batch list is built; negative candidates come from the per-step
-/// shard RNG.
+/// RNG.
 struct PimTrainable<'a> {
     lstm: &'a Lstm,
     ef: &'a EdgeFeaturizer,

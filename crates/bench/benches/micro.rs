@@ -38,21 +38,11 @@ fn bench_encoder(c: &mut Criterion) {
     });
 }
 
-/// Data-parallel training and lock-free batched inference. `shards == threads`
-/// here, so on a multi-core host these lines show the parallel speedup; the
-/// shard count also changes the per-shard batch, so compare against the
-/// `bench_parallel` binary for fixed-work serial-vs-parallel numbers.
-fn bench_parallel_training(c: &mut Criterion) {
+/// Lock-free inference through a shared representer; compare against the
+/// `bench_parallel` binary for serial-vs-parallel numbers.
+fn bench_parallel_inference(c: &mut Criterion) {
     let ds = CityDataset::generate(&DatasetConfig::tiny(CityProfile::Aalborg, 1));
     let enc = Arc::new(TemporalPathEncoder::new(&ds.net, EncoderConfig::tiny(), 1));
-    for shards in [1usize, 2, 4] {
-        let cfg = WscclConfig { shards, threads: shards, ..WscclConfig::default() };
-        let mut model = WscModel::new(Arc::clone(&enc), cfg, 1);
-        c.bench_function(&format!("wsc_train_step_shards{shards}"), |b| {
-            b.iter(|| model.train_step(&ds.unlabeled, &PopLabeler))
-        });
-    }
-
     let mut model = WscModel::new(Arc::clone(&enc), WscclConfig::tiny(), 1);
     model.train_step(&ds.unlabeled, &PopLabeler);
     let rep = model.into_representer("WSCCL");
@@ -148,7 +138,7 @@ fn bench_gbdt(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_encoder, bench_parallel_training, bench_graph_algorithms,
+    targets = bench_encoder, bench_parallel_inference, bench_graph_algorithms,
               bench_node2vec_walks, bench_node2vec_sgns, bench_map_matching, bench_gbdt
 }
 criterion_main!(benches);

@@ -1,20 +1,17 @@
-//! Serial-vs-parallel timing harness for the data-parallel training and
-//! lock-free inference paths. Writes `BENCH_parallel.json` and
-//! `BENCH_kernels.json` (two [`wsccl_bench::record`]s without contracts),
-//! and `results/profile.json`, in the working directory (see
-//! `scripts/bench.sh`).
+//! Timing harness for lock-free batched inference and the training step.
+//! Writes `BENCH_parallel.json` and `BENCH_kernels.json` (two
+//! [`wsccl_bench::record`]s without contracts), and `results/profile.json`,
+//! in the working directory (see `scripts/bench.sh`).
 //!
-//! For each shard count the *same logical step* (fixed seed, fixed shard
-//! count) is timed at `threads = 1` and `threads = shards`; because the shard
-//! count is part of the math, this isolates the execution knob. The records'
+//! `BENCH_parallel.json` times embedding the TTE set through one shared
+//! representer, serially and with one worker per core. The records'
 //! provenance carries the host's CPU count — on a single-core host the
 //! parallel numbers legitimately match the serial ones.
 //!
-//! The kernels report compares pooled vs unpooled tape execution (same fused
-//! kernels both ways — pooling only recycles buffers) for the WSCCL model and
-//! a PIM-style LSTM baseline, recording per-step time plus the tape's
-//! allocation counters during the timed window. A pooled steady state must
-//! show zero fresh tensor allocations.
+//! The kernels report times the pooled train step for the WSCCL model and a
+//! PIM-style LSTM baseline, recording per-step time plus the tape pool's
+//! allocation counters during the timed window. A steady state must show
+//! zero fresh tensor allocations.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -38,14 +35,6 @@ use wsccl_traffic::PopLabeler;
 use wsccl_train::{TrainSpec, Trainable, Trainer};
 
 #[derive(Serialize)]
-struct TrainTiming {
-    shards: usize,
-    threads: usize,
-    steps: usize,
-    ms_per_step: f64,
-}
-
-#[derive(Serialize)]
 struct EmbedTiming {
     paths: usize,
     workers: usize,
@@ -55,14 +44,12 @@ struct EmbedTiming {
 
 #[derive(Serialize)]
 struct Report {
-    train_step: Vec<TrainTiming>,
     eval_embed: EmbedTiming,
 }
 
 #[derive(Serialize)]
 struct KernelTiming {
     model: &'static str,
-    pooled: bool,
     steps: usize,
     ms_per_step: f64,
     /// Fresh tensor allocations during the timed (post-warmup) window.
@@ -132,7 +119,7 @@ struct OpRow {
 }
 
 /// `results/profile.json`: metrics-on-vs-off step-time overhead for the
-/// pooled WSCCL model, plus the per-op tape breakdown from a profiled run.
+/// WSCCL model, plus the per-op tape breakdown from a profiled run.
 #[derive(Serialize)]
 struct ProfileReport {
     host_cores: usize,
@@ -236,7 +223,7 @@ fn time_wsccl_backend(
 ) -> BackendStep {
     let forced = kernels::force(backend);
     let name = forced.name();
-    let mut model = warm_model(enc, ds, true);
+    let mut model = warm_model(enc, ds);
     let mut ms_per_step = f64::INFINITY;
     for _ in 0..5 {
         let t = Instant::now();
@@ -287,10 +274,9 @@ fn embed_latency(enc: &Arc<TemporalPathEncoder>, ds: &CityDataset) -> EmbedLaten
 fn time_wsccl_kernels(
     enc: &Arc<TemporalPathEncoder>,
     ds: &CityDataset,
-    pooled: bool,
     steps: usize,
 ) -> KernelTiming {
-    let mut model = warm_model(enc, ds, pooled);
+    let mut model = warm_model(enc, ds);
     let warm = model.pool_stats();
     let t = Instant::now();
     for _ in 0..steps {
@@ -300,7 +286,6 @@ fn time_wsccl_kernels(
     let after = model.pool_stats();
     let row = KernelTiming {
         model: "WSCCL",
-        pooled,
         steps,
         ms_per_step,
         steady_fresh_allocs: after.fresh_allocs - warm.fresh_allocs,
@@ -308,14 +293,14 @@ fn time_wsccl_kernels(
         peak_live: after.peak_live,
     };
     println!(
-        "kernels WSCCL pooled={pooled}: {ms_per_step:.2} ms/step, \
+        "kernels WSCCL: {ms_per_step:.2} ms/step, \
          {} fresh allocs steady-state",
         row.steady_fresh_allocs
     );
     row
 }
 
-fn time_lstm_kernels(ds: &CityDataset, pooled: bool, steps: usize) -> KernelTiming {
+fn time_lstm_kernels(ds: &CityDataset, steps: usize) -> KernelTiming {
     use rand::SeedableRng;
     let mut rng = StdRng::seed_from_u64(9);
     let mut params = Parameters::new();
@@ -332,8 +317,7 @@ fn time_lstm_kernels(ds: &CityDataset, pooled: bool, steps: usize) -> KernelTimi
         .collect();
     let mut bench = LstmBench { lstm, seqs };
     let n_seqs = bench.seqs.len();
-    let spec = TrainSpec { pool_buffers: pooled, ..TrainSpec::adam(3e-3, 1, 9) };
-    let mut trainer = Trainer::new(spec);
+    let mut trainer = Trainer::new(TrainSpec::adam(3e-3, 1, 9));
     for i in 0..n_seqs {
         trainer.step(&mut bench, &mut params, &i);
     }
@@ -346,7 +330,6 @@ fn time_lstm_kernels(ds: &CityDataset, pooled: bool, steps: usize) -> KernelTimi
     let after = trainer.pool_stats();
     let row = KernelTiming {
         model: "PIM-LSTM",
-        pooled,
         steps,
         ms_per_step,
         steady_fresh_allocs: after.fresh_allocs - warm.fresh_allocs,
@@ -354,7 +337,7 @@ fn time_lstm_kernels(ds: &CityDataset, pooled: bool, steps: usize) -> KernelTimi
         peak_live: after.peak_live,
     };
     println!(
-        "kernels PIM-LSTM pooled={pooled}: {ms_per_step:.2} ms/step, \
+        "kernels PIM-LSTM: {ms_per_step:.2} ms/step, \
          {} fresh allocs steady-state",
         row.steady_fresh_allocs
     );
@@ -366,9 +349,8 @@ fn time_lstm_kernels(ds: &CityDataset, pooled: bool, steps: usize) -> KernelTimi
 /// stepping until the pool has seen the whole size spectrum — including the
 /// worst simultaneous demand per size — i.e. a long calm streak without a
 /// single fresh alloc.
-fn warm_model(enc: &Arc<TemporalPathEncoder>, ds: &CityDataset, pooled: bool) -> WscModel {
-    let cfg = WscclConfig { pooling: pooled, ..WscclConfig::default() };
-    let mut model = WscModel::new(Arc::clone(enc), cfg, 1);
+fn warm_model(enc: &Arc<TemporalPathEncoder>, ds: &CityDataset) -> WscModel {
+    let mut model = WscModel::new(Arc::clone(enc), WscclConfig::default(), 1);
     let mut calm = 0;
     let mut last = model.pool_stats().fresh_allocs;
     for _ in 0..1000 {
@@ -390,7 +372,7 @@ fn warm_model(enc: &Arc<TemporalPathEncoder>, ds: &CityDataset, pooled: bool) ->
 fn profile_report(enc: &Arc<TemporalPathEncoder>, ds: &CityDataset, steps: usize) -> ProfileReport {
     let host_cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     let registry = wsccl_obs::global();
-    let mut model = warm_model(enc, ds, true);
+    let mut model = warm_model(enc, ds);
 
     let time_steps = |model: &mut WscModel| {
         let t = Instant::now();
@@ -412,7 +394,7 @@ fn profile_report(enc: &Arc<TemporalPathEncoder>, ds: &CityDataset, steps: usize
          on {metrics_on_ms_per_step:.2} ms/step ({metrics_overhead_pct:+.1}%)"
     );
 
-    let mut model = warm_model(enc, ds, true);
+    let mut model = warm_model(enc, ds);
     model.enable_profiling();
     for _ in 0..steps {
         model.train_step(&ds.unlabeled, &PopLabeler);
@@ -439,42 +421,12 @@ fn profile_report(enc: &Arc<TemporalPathEncoder>, ds: &CityDataset, steps: usize
     }
 }
 
-fn time_train(
-    enc: &Arc<TemporalPathEncoder>,
-    ds: &CityDataset,
-    shards: usize,
-    threads: usize,
-    steps: usize,
-) -> TrainTiming {
-    let cfg = WscclConfig { shards, threads, ..WscclConfig::default() };
-    let mut model = WscModel::new(Arc::clone(enc), cfg, 1);
-    // Warm-up: touch every code path (and Adam state) once.
-    for _ in 0..2 {
-        model.train_step(&ds.unlabeled, &PopLabeler);
-    }
-    let t = Instant::now();
-    for _ in 0..steps {
-        model.train_step(&ds.unlabeled, &PopLabeler);
-    }
-    let ms_per_step = t.elapsed().as_secs_f64() * 1000.0 / steps as f64;
-    println!("train_step shards={shards} threads={threads}: {ms_per_step:.2} ms/step");
-    TrainTiming { shards, threads, steps, ms_per_step }
-}
-
 fn main() {
     let host_cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     println!("host cores: {host_cores}");
 
     let ds = CityDataset::generate(&DatasetConfig::tiny(CityProfile::Aalborg, 1));
     let enc = Arc::new(TemporalPathEncoder::new(&ds.net, EncoderConfig::tiny(), 1));
-
-    let mut train_step = Vec::new();
-    for shards in [1usize, 2, 4] {
-        train_step.push(time_train(&enc, &ds, shards, 1, 10));
-        if shards > 1 {
-            train_step.push(time_train(&enc, &ds, shards, shards, 10));
-        }
-    }
 
     // Lock-free batched inference: embed the whole TTE set through a shared
     // representer, serial vs one worker per core.
@@ -517,10 +469,8 @@ fn main() {
         ds.tte.len()
     );
 
-    let report = Report {
-        train_step,
-        eval_embed: EmbedTiming { paths: ds.tte.len(), workers, serial_ms, parallel_ms },
-    };
+    let report =
+        Report { eval_embed: EmbedTiming { paths: ds.tte.len(), workers, serial_ms, parallel_ms } };
     record::save("BENCH_parallel.json", &[], &report).expect("write BENCH_parallel.json");
     println!("wrote BENCH_parallel.json");
 
@@ -544,12 +494,7 @@ fn main() {
     let embed = embed_latency(&enc, &ds);
 
     let kernels = KernelReport {
-        train_step: vec![
-            time_wsccl_kernels(&enc, &ds, false, 20),
-            time_wsccl_kernels(&enc, &ds, true, 20),
-            time_lstm_kernels(&ds, false, 40),
-            time_lstm_kernels(&ds, true, 40),
-        ],
+        train_step: vec![time_wsccl_kernels(&enc, &ds, 20), time_lstm_kernels(&ds, 40)],
         kernels: KernelsSection {
             simd_available: wsccl_nn::kernels::simd_available(),
             matmul,

@@ -388,7 +388,7 @@ fn cmd_serve(
 }
 
 /// Train-while-serve demo of the continual-learning loop: a server hot-
-/// watches a checkpoint file while a [`ContinualTrainer`] runs a drift
+/// watches a checkpoint file while a [`wsccl_core::ContinualTrainer`] runs a drift
 /// episode next to it, publishing a re-trained checkpoint after every
 /// simulated day (save to temp + rename, per the watcher protocol). A
 /// background client hammers the server throughout — every request must be

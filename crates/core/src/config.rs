@@ -4,7 +4,9 @@ use serde::{Deserialize, Serialize};
 
 use crate::encoder::EncoderConfig;
 
-/// Full training configuration.
+/// Full training configuration. Every contrastive step trains on one
+/// minibatch of `batch_size` anchor blocks (Eq. 10–12 contrast each query
+/// with the rest of that batch).
 ///
 /// Paper defaults (§VII-A.6): d_rt/d_l/d_o/d_ts = 64/32/16/16, node2vec dim
 /// 128, 2 LSTM layers of 128, λ = 0.8, lr = 3e-4, batch 32, N = M = 10.
@@ -37,27 +39,7 @@ pub struct WscclConfig {
     pub local_edges: usize,
     /// Gradient clipping threshold (global L2 norm).
     pub grad_clip: f64,
-    /// Number of data-parallel shards per contrastive training step. Each
-    /// shard is an independently sampled sub-batch (negatives stay within the
-    /// shard) whose gradients are reduced in shard order before one optimizer
-    /// step. This is a *logical* split: it changes the math, so it lives in
-    /// the config; see `threads` for the execution knob.
-    pub shards: usize,
-    /// Worker threads used to execute the shards of one training step.
-    /// Purely an execution detail — any value produces bit-for-bit identical
-    /// training for a fixed seed and shard count.
-    pub threads: usize,
-    /// Recycle tape buffers across training steps (see `wsccl_nn::TensorPool`).
-    /// Execution detail only: pooled and unpooled training are bit-for-bit
-    /// identical. Defaults to on; configs written before this knob existed
-    /// load as on.
-    #[serde(default = "default_pooling")]
-    pub pooling: bool,
     pub seed: u64,
-}
-
-fn default_pooling() -> bool {
-    true
 }
 
 impl Default for WscclConfig {
@@ -73,9 +55,6 @@ impl Default for WscclConfig {
             expert_epochs: 1,
             local_edges: 3,
             grad_clip: 5.0,
-            shards: 1,
-            threads: 1,
-            pooling: true,
             seed: 0,
         }
     }

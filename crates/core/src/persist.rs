@@ -34,6 +34,13 @@ pub enum PersistError {
     VersionMismatch {
         found: u32,
     },
+    /// A parameter's data does not fill the shape it declares.
+    TensorLength {
+        param: String,
+        rows: usize,
+        cols: usize,
+        len: usize,
+    },
 }
 
 impl std::fmt::Display for PersistError {
@@ -43,6 +50,9 @@ impl std::fmt::Display for PersistError {
             PersistError::Encode(e) => write!(f, "checkpoint encoding error: {e}"),
             PersistError::VersionMismatch { found } => {
                 write!(f, "checkpoint version {found} != supported {CHECKPOINT_VERSION}")
+            }
+            PersistError::TensorLength { param, rows, cols, len } => {
+                write!(f, "parameter `{param}` declares shape {rows}x{cols} but holds {len} values")
             }
         }
     }
@@ -134,7 +144,8 @@ impl EngineCheckpoint {
         Ok(())
     }
 
-    /// Deserialize from a reader, validating the version.
+    /// Deserialize from a reader, validating the version and that every
+    /// parameter's data fills its declared shape.
     pub fn read_from(r: &mut impl Read) -> Result<Self, PersistError> {
         let mut buf = String::new();
         r.read_to_string(&mut buf)?;
@@ -142,7 +153,21 @@ impl EngineCheckpoint {
         if head.version != CHECKPOINT_VERSION {
             return Err(PersistError::VersionMismatch { found: head.version });
         }
-        serde_json::from_str(&buf).map_err(|e| PersistError::Encode(e.to_string()))
+        let cp: Self =
+            serde_json::from_str(&buf).map_err(|e| PersistError::Encode(e.to_string()))?;
+        for id in cp.params.ids() {
+            let t = cp.params.value(id);
+            if t.rows().checked_mul(t.cols()) != Some(t.len()) {
+                let param = cp.params.name(id).to_string();
+                return Err(PersistError::TensorLength {
+                    param,
+                    rows: t.rows(),
+                    cols: t.cols(),
+                    len: t.len(),
+                });
+            }
+        }
+        Ok(cp)
     }
 
     /// Save to a file.
@@ -238,7 +263,9 @@ mod tests {
     #[test]
     fn checkpoint_written_with_kernels_fields_still_loads() {
         // Model configs and trainer specs used to carry a `kernels` backend
-        // field; files written then must keep loading.
+        // field and the data-parallel knobs (`shards`, `threads`, `pooling`;
+        // `shards`, `threads`, `pool_buffers`); files written then must keep
+        // loading.
         let net = CityProfile::Aalborg.generate(3);
         let cfg = EncoderConfig::tiny();
         let enc = TemporalPathEncoder::new(&net, cfg.clone(), 3);
@@ -248,13 +275,52 @@ mod tests {
         checkpoint(&cfg, params, weights).write_to(&mut buf).expect("write");
         let json = String::from_utf8(buf).expect("utf-8");
         let old = json
-            .replacen("\"pooling\":true", "\"pooling\":true,\"kernels\":\"Auto\"", 1)
-            .replacen("\"pool_buffers\":true", "\"pool_buffers\":true,\"kernels\":\"Simd\"", 1);
-        assert_eq!(old.matches("\"kernels\"").count(), 2, "both fields injected");
+            .replacen(
+                "\"grad_clip\":5.0,",
+                "\"grad_clip\":5.0,\"shards\":2,\"threads\":2,\"pooling\":true,\"kernels\":\"Auto\",",
+                1,
+            )
+            .replacen(
+                "\"seed\":3}",
+                "\"seed\":3,\"shards\":1,\"threads\":1,\"pool_buffers\":false,\"kernels\":\"Simd\"}",
+                1,
+            );
+        for field in ["kernels", "shards", "threads"] {
+            assert_eq!(old.matches(&format!("\"{field}\"")).count(), 2, "`{field}` injected twice");
+        }
+        for field in ["pooling", "pool_buffers"] {
+            assert_eq!(old.matches(&format!("\"{field}\"")).count(), 1, "`{field}` injected");
+        }
         let restored = EngineCheckpoint::read_from(&mut old.as_bytes()).expect("old file loads");
-        assert!(restored.config.pooling);
-        assert!(restored.trainer.spec.pool_buffers);
+        assert_eq!(restored.config.grad_clip, 5.0);
+        assert_eq!(restored.trainer.spec.seed, 3);
         assert_eq!(restored.loss_history, vec![1.0, 0.5]);
+    }
+
+    #[test]
+    fn short_tensor_is_rejected_with_its_name() {
+        let net = CityProfile::Aalborg.generate(3);
+        let cfg = EncoderConfig::tiny();
+        let enc = TemporalPathEncoder::new(&net, cfg.clone(), 3);
+        let mut params = Parameters::new();
+        let weights = enc.init_weights(&mut params, 9);
+        let first = params.ids().next().expect("a parameter");
+        let (name, (rows, cols)) = (params.name(first).to_string(), params.value(first).shape());
+        let mut buf = Vec::new();
+        checkpoint(&cfg, params, weights).write_to(&mut buf).expect("write");
+        // Drop the first parameter's last value.
+        let json = String::from_utf8(buf).expect("utf-8");
+        let at = json.find("\"params\":").expect("params");
+        let data = at + json[at..].find("\"data\":[").expect("tensor data") + "\"data\":[".len();
+        let end = data + json[data..].find(']').expect("data closes");
+        let cut = json[data..end].rfind(',').map_or(data, |i| data + i);
+        let short = format!("{}{}", &json[..cut], &json[end..]);
+        match EngineCheckpoint::read_from(&mut short.as_bytes()) {
+            Err(PersistError::TensorLength { param, rows: r, cols: c, len }) => {
+                assert_eq!((param, r, c, len), (name, rows, cols, rows * cols - 1));
+            }
+            other => panic!("expected a tensor-length error, got {other:?}"),
+        }
     }
 }
 

@@ -1,14 +1,12 @@
 //! The WSC base model (Fig. 5): temporal path encoder + WSC losses, trained
 //! through the shared [`wsccl_train`] engine.
 //!
-//! Training is data-parallel: each step draws `cfg.shards` independent
-//! sub-batches, runs forward + backward for every shard on its own tape over
-//! the *shared* parameter values, reduces the shard gradients in shard order,
-//! and applies a single optimizer step. The shard count is part of the math
-//! (it determines which negatives each query sees); the thread count is not —
-//! for a fixed seed and shard count, training is bit-for-bit identical at any
-//! `cfg.threads`. All of that now lives in [`wsccl_train::Trainer`]; this
-//! module only knows how to build one shard's loss.
+//! Each training step samples one minibatch of `cfg.batch_size` anchor
+//! blocks, runs forward + backward on one tape over the parameter values,
+//! and applies one optimizer step; every query is contrasted with the rest of
+//! that minibatch (Eq. 10–12). The step loop lives in
+//! [`wsccl_train::Trainer`]; this module only knows how to build a step's
+//! loss.
 
 use std::sync::Arc;
 
@@ -42,7 +40,7 @@ pub struct WscModel {
 }
 
 /// Map the model config onto an engine spec: Adam at a constant rate with
-/// clipping, shard/thread knobs passed straight through.
+/// clipping.
 fn train_spec(cfg: &WscclConfig, seed: u64) -> TrainSpec {
     TrainSpec {
         epochs: cfg.epochs,
@@ -51,42 +49,20 @@ fn train_spec(cfg: &WscclConfig, seed: u64) -> TrainSpec {
         schedule: LrSchedule::Constant,
         grad_clip: Some(cfg.grad_clip),
         seed,
-        shards: cfg.shards,
-        threads: cfg.threads,
-        pool_buffers: cfg.pooling,
     }
 }
 
 /// WSC as seen by the engine. Every batch is a unit marker: the actual
-/// sub-batch is sampled inside the shard from the shard RNG, so each of the
-/// `cfg.shards` shards sees its own independently drawn sub-batch. Everything
-/// a shard computes is a pure function of `(params, weights, cfg, shard
-/// seed)`, which is what makes the thread schedule irrelevant to the result.
+/// minibatch is sampled inside the step from the step RNG, so everything a
+/// step computes is a pure function of `(params, weights, cfg, step seed)`.
 struct WscTrainable<'a, P: SamplePool + ?Sized> {
     encoder: &'a TemporalPathEncoder,
     weights: &'a EncoderWeights,
     cfg: &'a WscclConfig,
     pool: &'a P,
     labeler: &'a (dyn WeakLabeler + Sync),
-    /// Per-shard batch size; `build_batch` clamps to at least one anchor
-    /// block, so over-sharding degrades gracefully.
-    per_shard: usize,
     /// Steps per epoch.
     steps: usize,
-}
-
-impl<'a, P: SamplePool + ?Sized> WscTrainable<'a, P> {
-    fn new(
-        encoder: &'a TemporalPathEncoder,
-        weights: &'a EncoderWeights,
-        cfg: &'a WscclConfig,
-        pool: &'a P,
-        labeler: &'a (dyn WeakLabeler + Sync),
-        steps: usize,
-    ) -> Self {
-        let per_shard = (cfg.batch_size / cfg.shards.max(1)).max(1);
-        Self { encoder, weights, cfg, pool, labeler, per_shard, steps }
-    }
 }
 
 impl<P: SamplePool + ?Sized> Trainable for WscTrainable<'_, P> {
@@ -97,7 +73,7 @@ impl<P: SamplePool + ?Sized> Trainable for WscTrainable<'_, P> {
     }
 
     fn build_loss(&self, g: &mut Graph<'_>, _batch: &(), rng: &mut StdRng) -> Option<NodeId> {
-        let items = build_batch(rng, self.pool, self.labeler, self.per_shard);
+        let items = build_batch(rng, self.pool, self.labeler, self.cfg.batch_size);
         let mut tprs = Vec::with_capacity(items.len());
         let mut sters = Vec::with_capacity(items.len());
         for item in &items {
@@ -140,8 +116,7 @@ impl WscModel {
         self.trainer.set_base_lr(lr);
     }
 
-    /// Tape buffer-pool statistics accumulated by the training engine (all
-    /// zeros when `cfg.pooling` is off).
+    /// Tape buffer-pool statistics accumulated by the training engine.
     pub fn pool_stats(&self) -> wsccl_nn::PoolStats {
         self.trainer.pool_stats()
     }
@@ -152,7 +127,7 @@ impl WscModel {
         self.trainer.enable_profiling();
     }
 
-    /// Merged per-op forward/backward timings across all shards.
+    /// Per-op forward/backward timings recorded by the training engine.
     pub fn profile(&self) -> wsccl_obs::TapeProfile {
         self.trainer.profile()
     }
@@ -173,17 +148,17 @@ impl WscModel {
         self.trainer.anomaly_guard()
     }
 
-    /// One optimization step over `cfg.shards` data-parallel sub-batches.
-    /// Returns the mean shard loss, or `None` if no shard had usable
-    /// contrastive structure. The pool may live in memory or be an
-    /// mmap-backed [`wsccl_datagen::DiskDataset`]; the math is identical.
+    /// One optimization step over one sampled minibatch. Returns the loss,
+    /// or `None` if the minibatch had no usable contrastive structure. The
+    /// pool may live in memory or be an mmap-backed
+    /// [`wsccl_datagen::DiskDataset`]; the math is identical.
     pub fn train_step<P: SamplePool + ?Sized>(
         &mut self,
         pool: &P,
         labeler: &(dyn WeakLabeler + Sync),
     ) -> Option<f64> {
         let Self { encoder, params, weights, trainer, cfg, .. } = self;
-        let mut t = WscTrainable::new(encoder, weights, cfg, pool, labeler, 1);
+        let mut t = WscTrainable { encoder, weights, cfg, pool, labeler, steps: 1 };
         trainer.step(&mut t, params, &()).map(|o| o.loss)
     }
 
@@ -209,7 +184,7 @@ impl WscModel {
         assert!(!pool.is_empty(), "cannot train on an empty pool");
         let Self { encoder, params, weights, trainer, cfg, loss_history } = self;
         let steps = (pool.len() / cfg.batch_size).max(1);
-        let mut t = WscTrainable::new(encoder, weights, cfg, pool, labeler, steps);
+        let mut t = WscTrainable { encoder, weights, cfg, pool, labeler, steps };
         let history = trainer.run(&mut t, params, epochs, observer);
         loss_history.extend(history);
     }
@@ -339,7 +314,7 @@ impl TrainedRepresenter {
 
     /// The shared frozen encoder tables backing this representer. Hot
     /// checkpoint reload reuses these via
-    /// [`EngineCheckpoint`](crate::persist::EngineCheckpoint) +
+    /// [`EngineCheckpoint`] +
     /// [`TrainedRepresenter::from_parts`] instead of regenerating them.
     pub fn encoder_arc(&self) -> Arc<TemporalPathEncoder> {
         Arc::clone(&self.encoder)
@@ -508,27 +483,6 @@ mod tests {
     }
 
     #[test]
-    fn thread_count_does_not_change_training() {
-        // `threads` is an execution knob only: for a fixed seed and shard
-        // count, every thread count must produce bit-for-bit identical
-        // training trajectories and final embeddings. This now exercises the
-        // engine's shard-parallel path end to end.
-        let (ds, enc) = quick_setup();
-        let train = |threads: usize| {
-            let cfg = WscclConfig { shards: 4, threads, ..WscclConfig::tiny() };
-            let mut model = WscModel::new(Arc::clone(&enc), cfg, 7);
-            model.train(&ds.unlabeled, &PopLabeler, 2);
-            let emb: Vec<Vec<f64>> =
-                ds.unlabeled.iter().take(5).map(|s| model.embed(&s.path, s.departure)).collect();
-            (model.loss_history.clone(), emb)
-        };
-        let (hist1, emb1) = train(1);
-        let (hist4, emb4) = train(4);
-        assert_eq!(hist1, hist4, "loss history must not depend on thread count");
-        assert_eq!(emb1, emb4, "final embeddings must not depend on thread count");
-    }
-
-    #[test]
     fn kernel_backend_does_not_change_training() {
         // The f64 kernel contract: scalar and SIMD backends are bit-identical,
         // so the full training trajectory — loss history and final embeddings —
@@ -615,23 +569,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_training_still_reduces_loss() {
-        let (ds, enc) = quick_setup();
-        let cfg = WscclConfig { shards: 2, batch_size: 16, ..WscclConfig::tiny() };
-        let mut model = WscModel::new(enc, cfg, 5);
-        let mut losses = Vec::new();
-        for _ in 0..30 {
-            if let Some(l) = model.train_step(&ds.unlabeled, &PopLabeler) {
-                losses.push(l);
-            }
-        }
-        assert!(losses.len() >= 25, "most sharded steps should produce a loss");
-        let head: f64 = losses[..5].iter().sum::<f64>() / 5.0;
-        let tail: f64 = losses[losses.len() - 5..].iter().sum::<f64>() / 5.0;
-        assert!(tail < head, "sharded loss should fall: {head:.4} → {tail:.4}");
-    }
-
-    #[test]
     fn observer_sees_every_step_and_epoch() {
         let (ds, enc) = quick_setup();
         let mut model = WscModel::new(enc, WscclConfig::tiny(), 2);
@@ -654,7 +591,7 @@ mod tests {
         // the math nor break across a kill/resume boundary.
         use wsccl_train::JsonlObserver;
         let (ds, enc) = quick_setup();
-        let cfg = WscclConfig { shards: 2, ..WscclConfig::tiny() };
+        let cfg = WscclConfig::tiny();
 
         let mut a = WscModel::new(Arc::clone(&enc), cfg.clone(), 9);
         a.train(&ds.unlabeled, &PopLabeler, 4);

@@ -24,7 +24,7 @@
 //! memory-maps the file; record payloads are 4-byte aligned by construction,
 //! so edge sequences are handed out as `&[EdgeId]` borrowed straight from the
 //! map (`EdgeId` is `#[repr(transparent)]` over `u32`; on big-endian targets
-//! the borrow degrades to a decode — see [`edge_ids`]). Opening validates the
+//! the borrow degrades to a decode — see `edge_ids`). Opening validates the
 //! header, footer, section ranges, and offset-index monotonicity, but does
 //! not touch record pages: resident memory after `open` is independent of
 //! record count.

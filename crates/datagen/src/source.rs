@@ -17,9 +17,8 @@ use crate::stream::{generate_streamed, StreamConfig};
 ///
 /// `get` returns an owned sample: the in-memory pool clones, the mmap-backed
 /// pool decodes a record — symmetric O(path length) either way, so consumers
-/// (batch builders, trainers) are source-agnostic. `Sync` is a supertrait
-/// because shard-parallel training reads the pool from worker threads.
-pub trait SamplePool: Sync {
+/// (batch samplers, trainers) are source-agnostic.
+pub trait SamplePool {
     fn len(&self) -> usize;
 
     fn is_empty(&self) -> bool {

@@ -57,6 +57,12 @@ impl GbRegressor {
     pub fn predict_batch(&self, x: &[Vec<f64>]) -> Vec<f64> {
         x.iter().map(|row| self.predict(row)).collect()
     }
+
+    /// Width of the rows the head was fitted on, read from its trees; `None`
+    /// for a head with no trees, which predicts its base value for any row.
+    pub fn num_features(&self) -> Option<usize> {
+        self.trees.first().map(RegressionTree::num_features)
+    }
 }
 
 /// Gradient-boosted binary classifier (logistic loss).

@@ -151,6 +151,11 @@ impl RegressionTree {
     pub fn num_nodes(&self) -> usize {
         self.nodes.len()
     }
+
+    /// Width of the rows the tree was fitted on.
+    pub fn num_features(&self) -> usize {
+        self.num_features
+    }
 }
 
 #[cfg(test)]

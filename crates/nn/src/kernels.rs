@@ -27,7 +27,7 @@
 //! * keep each output element's reduction order exactly equal to the scalar
 //!   loop — either by vectorizing across *output* lanes only, or, where a
 //!   horizontal reduction is unavoidable (`matmul_nt_acc`), by defining the
-//!   scalar oracle itself as the fixed four-lane interleaved [`scalar::dot`]
+//!   scalar oracle itself as the fixed four-lane interleaved `scalar::dot`
 //!   that the vector form evaluates in-register;
 //! * keep the `a == 0.0` skip of the scalar i-k-j kernels;
 //! * evaluate transcendental activations (sigmoid/tanh, and the fused LSTM
@@ -44,11 +44,12 @@
 //!
 //! The backend is resolved once per process, on the first kernel call: the
 //! env var `WSCCL_KERNELS=scalar|simd|auto` when set (so CI can force both
-//! paths over the whole suite), CPU detection otherwise. Tests and benches
-//! may flip the backend mid-process with [`force`] — sound precisely because
-//! of the f64 bit-identity contract above. The returned [`ForcedBackend`]
-//! guard holds a process-wide lock, so concurrent tests that force different
-//! backends take turns instead of switching each other's kernels mid-run.
+//! paths over the whole suite; any other value panics there), CPU detection
+//! otherwise. Tests and benches may flip the backend mid-process with
+//! [`force`] — sound precisely because of the f64 bit-identity contract
+//! above. The returned [`ForcedBackend`] guard holds a process-wide lock, so
+//! concurrent tests that force different backends take turns instead of
+//! switching each other's kernels mid-run.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
@@ -100,7 +101,7 @@ pub trait Kernels: Send + Sync {
     /// `dst += x ⊙ y`.
     fn add_prod(&self, dst: &mut [f64], x: &[f64], y: &[f64]);
     /// Interleaved dot product `Σᵢ aᵢ·bᵢ` — the fixed four-lane reduction of
-    /// [`scalar::dot`]. Both backends share the one implementation (its
+    /// `scalar::dot`. Both backends share the one implementation (its
     /// FMA-dispatched body autovectorizes), so the default is never
     /// overridden and the value is backend-independent by construction.
     fn dot(&self, a: &[f64], b: &[f64]) -> f64 {
@@ -2365,13 +2366,25 @@ fn backend_code(backend: KernelBackend) -> u8 {
     }
 }
 
-fn env_override() -> Option<KernelBackend> {
-    match std::env::var("WSCCL_KERNELS").ok()?.to_ascii_lowercase().as_str() {
-        "scalar" => Some(KernelBackend::Scalar),
-        "simd" => Some(KernelBackend::Simd),
-        "auto" => Some(KernelBackend::Auto),
-        _ => None,
+/// Parse a `WSCCL_KERNELS` value, case-insensitively. An empty value means
+/// unset; anything else but `scalar`, `simd` or `auto` is an error.
+fn parse_backend(value: &str) -> Result<Option<KernelBackend>, String> {
+    match value.to_ascii_lowercase().as_str() {
+        "" => Ok(None),
+        "scalar" => Ok(Some(KernelBackend::Scalar)),
+        "simd" => Ok(Some(KernelBackend::Simd)),
+        "auto" => Ok(Some(KernelBackend::Auto)),
+        _ => Err(format!(
+            "WSCCL_KERNELS={value:?} names no kernel backend; use scalar, simd or auto"
+        )),
     }
+}
+
+/// The `WSCCL_KERNELS` override. Panics on a value that names no backend,
+/// so a typo cannot silently run the auto-detected one.
+fn env_override() -> Option<KernelBackend> {
+    let value = std::env::var_os("WSCCL_KERNELS")?;
+    parse_backend(&value.to_string_lossy()).unwrap_or_else(|e| panic!("{e}"))
 }
 
 fn publish_gauge(code: u8) {
@@ -2457,7 +2470,7 @@ pub fn force(backend: KernelBackend) -> ForcedBackend {
     ForcedBackend { prev, _hold: hold }
 }
 
-/// The active kernel set, resolved on first use (see [`resolve`]).
+/// The active kernel set, resolved on first use (see `resolve`).
 pub fn active() -> &'static dyn Kernels {
     match ACTIVE.load(Ordering::Relaxed) {
         0 => from_code(resolve()),
@@ -2553,6 +2566,21 @@ mod tests {
         // the one the unwound holder found.
         let next = force(KernelBackend::Scalar);
         assert_eq!(next.prev, found, "unwinding must restore the previous backend");
+    }
+
+    #[test]
+    fn kernels_env_values_parse_or_name_the_choices() {
+        assert_eq!(parse_backend("scalar"), Ok(Some(KernelBackend::Scalar)));
+        assert_eq!(parse_backend("SIMD"), Ok(Some(KernelBackend::Simd)));
+        assert_eq!(parse_backend("Auto"), Ok(Some(KernelBackend::Auto)));
+        assert_eq!(parse_backend(""), Ok(None));
+        for typo in ["simdd", "avx512", " scalar"] {
+            let err = parse_backend(typo).expect_err(typo);
+            assert!(err.contains(typo), "{err}");
+            for choice in ["scalar", "simd", "auto"] {
+                assert!(err.contains(choice), "{err} must name {choice}");
+            }
+        }
     }
 
     #[test]

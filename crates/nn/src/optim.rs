@@ -1,7 +1,7 @@
 //! Optimizers: plain SGD and Adam (the paper trains with lr = 3e-4 Adam-style).
 //!
-//! Optimizers consume a [`GradStore`] produced by one tape (or reduced from
-//! several data-parallel shard tapes) and update the shared [`Parameters`].
+//! Optimizers consume the [`GradStore`] produced by one tape and update the
+//! shared [`Parameters`].
 //! A parameter with no gradient slot is treated as having an exact zero
 //! gradient: momentum/moment state still decays, matching dense behavior.
 

@@ -2,12 +2,11 @@
 //!
 //! Parameter *values* and *gradients* live in separate stores. [`Parameters`]
 //! holds the values and is read-only during a forward/backward pass, so any
-//! number of tapes (one per data-parallel shard, or concurrent inference
-//! calls) can share `&Parameters` without locking. Each [`crate::Graph`]
-//! accumulates into its own private [`GradStore`]; shard stores are reduced
-//! with [`GradStore::accumulate`] in a fixed order, and an optimizer consumes
-//! the reduced store. This mirrors the PyTorch `nn.Parameter` / optimizer
-//! split the paper's implementation uses, extended for data parallelism.
+//! number of tapes (a training step, or concurrent inference calls) can
+//! share `&Parameters` without locking. Each [`crate::Graph`] accumulates
+//! into its own private [`GradStore`], which an optimizer then consumes. This
+//! mirrors the PyTorch `nn.Parameter` / optimizer split the paper's
+//! implementation uses.
 
 use serde::{Deserialize, Serialize};
 
@@ -140,30 +139,10 @@ impl GradStore {
     }
 
     /// Return every allocated gradient buffer to `pool`, leaving the store
-    /// empty. The end of a pooled training step for shard grad stores.
+    /// empty. The end of a pooled training step.
     pub fn release_into(mut self, pool: &mut TensorPool) {
         for g in self.grads.drain(..).flatten() {
             pool.put(g);
-        }
-    }
-
-    /// Like [`GradStore::accumulate`], but drains `other`, recycling its
-    /// buffers: slots missing from `self` take the buffer over directly, and
-    /// already-present slots are summed with `other`'s buffer returned to the
-    /// pool.
-    pub fn accumulate_pooled(&mut self, other: GradStore, pool: &mut TensorPool) {
-        for (i, g) in other.grads.into_iter().enumerate() {
-            let Some(g) = g else { continue };
-            if self.grads.len() <= i {
-                self.grads.resize(i + 1, None);
-            }
-            match &mut self.grads[i] {
-                Some(dst) => {
-                    dst.add_assign(&g);
-                    pool.put(g);
-                }
-                slot @ None => *slot = Some(g),
-            }
         }
     }
 
@@ -182,19 +161,7 @@ impl GradStore {
         self.grads.clear();
     }
 
-    /// Add another store's gradients into this one (shard reduction).
-    ///
-    /// Reduction order is whatever order the caller invokes this in; for
-    /// deterministic training, accumulate shard stores in ascending shard
-    /// index.
-    pub fn accumulate(&mut self, other: &GradStore) {
-        for (id, g) in other.iter() {
-            self.entry(id, g.rows(), g.cols()).add_assign(g);
-        }
-    }
-
-    /// Multiply every accumulated gradient by `factor` (e.g. `1/K` after
-    /// reducing `K` shard stores whose losses should be averaged).
+    /// Multiply every accumulated gradient by `factor` (gradient clipping).
     pub fn scale(&mut self, factor: f64) {
         let kernels = crate::kernels::active();
         for g in self.grads.iter_mut().flatten() {
@@ -204,8 +171,9 @@ impl GradStore {
 
     /// Global L2 norm over all accumulated gradients.
     ///
-    /// Each tensor's sum of squares uses the backend-shared [`Kernels::dot`]
-    /// reduction, so the value is identical under scalar and SIMD backends.
+    /// Each tensor's sum of squares uses the backend-shared
+    /// [`crate::kernels::Kernels::dot`] reduction, so the value is identical
+    /// under scalar and SIMD backends.
     pub fn norm(&self) -> f64 {
         let kernels = crate::kernels::active();
         self.iter().map(|(_, g)| kernels.dot(g.data(), g.data())).sum::<f64>().sqrt()
@@ -258,21 +226,6 @@ mod tests {
         assert_eq!(g.num_allocated(), 1, "untouched params must not allocate");
         assert!(g.grad(b).is_none());
         assert_eq!(g.grad(a).unwrap().get(0, 0), 1.0);
-    }
-
-    #[test]
-    fn accumulate_sums_sparse_stores() {
-        let mut p = Parameters::new();
-        let a = p.register("a", Tensor::zeros(1, 2));
-        let b = p.register("b", Tensor::zeros(1, 1));
-        let mut g1 = GradStore::new();
-        *g1.entry(a, 1, 2) = Tensor::from_vec(1, 2, vec![1.0, 2.0]);
-        let mut g2 = GradStore::new();
-        *g2.entry(a, 1, 2) = Tensor::from_vec(1, 2, vec![10.0, 20.0]);
-        *g2.entry(b, 1, 1) = Tensor::scalar(5.0);
-        g1.accumulate(&g2);
-        assert_eq!(g1.grad(a).unwrap().data(), &[11.0, 22.0]);
-        assert_eq!(g1.grad(b).unwrap().item(), 5.0);
     }
 
     #[test]

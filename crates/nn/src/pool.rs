@@ -5,10 +5,8 @@
 //! `Vec<f64>`. A [`TensorPool`] keeps the buffers of finished tapes in
 //! free-lists bucketed by exact element count, so the next step's tape (which
 //! has the same shapes in steady state) performs zero tensor allocations: see
-//! `Graph::new_in`. Buffers are recycled *within* one shard worker — the pool
-//! is deliberately not `Sync`; cross-thread recycling is wired explicitly by
-//! the training engine's worker pool, which routes freed buffers back to the
-//! worker that allocated them.
+//! `Graph::new_in`. The training engine owns one pool and builds every step's
+//! tape on its own thread, so the pool is deliberately not `Sync`.
 //!
 //! The pool never affects results: a reused buffer is either zeroed on
 //! handout ([`TensorPool::take`]) or handed out raw for ops that overwrite
@@ -79,11 +77,7 @@ impl TensorPool {
 
     /// Return a tensor's buffer to the pool. Empty tensors are ignored.
     pub fn put(&mut self, t: Tensor) {
-        self.put_buffer(t.into_data());
-    }
-
-    /// Return a raw buffer (e.g. shipped back from another thread).
-    pub fn put_buffer(&mut self, buf: Vec<f64>) {
+        let buf = t.into_data();
         if buf.is_empty() {
             return;
         }

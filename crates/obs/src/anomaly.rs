@@ -116,7 +116,7 @@ impl AnomalyGuard {
 
     /// Feed one per-step loss. Returns the event if this step was anomalous.
     /// Skipped steps (the engine reports them as NaN losses) count as
-    /// non-finite: every shard hit a non-finite loss to get there.
+    /// non-finite.
     pub fn observe_loss(&mut self, step: u64, loss: f64) -> Option<&AnomalyEvent> {
         if !loss.is_finite() {
             return Some(self.report(step, AnomalyKind::NonFiniteLoss, loss, "step loss".into()));

@@ -1,10 +1,10 @@
 //! Per-op tape profiling.
 //!
 //! A [`TapeProfiler`] is plain mutable state owned by whoever executes a
-//! tape (one per training shard — no sharing, no atomics), accumulating
+//! tape (the trainer — no sharing, no atomics), accumulating
 //! forward/backward wall time per op kind. `wsccl-nn::Graph` drives it when
-//! attached; shard profilers are [`TapeProfiler::merge`]d by the training
-//! driver and rendered as a [`TapeProfile`] report.
+//! attached, and [`TapeProfiler::snapshot`] renders it as a [`TapeProfile`]
+//! report.
 
 use std::collections::HashMap;
 
@@ -41,7 +41,7 @@ impl TapeProfiler {
         self.entries.entry(op).or_default().backward_ns += ns;
     }
 
-    /// Fold another profiler (e.g. a shard's) into this one.
+    /// Fold another profiler into this one.
     pub fn merge(&mut self, other: &TapeProfiler) {
         for (op, t) in &other.entries {
             let e = self.entries.entry(op).or_default();

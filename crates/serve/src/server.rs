@@ -1,7 +1,7 @@
 //! The serving loop and its clients. One dedicated thread owns the model
 //! and runs a plain blocking loop — wait for a request (or the checkpoint
 //! watcher's next poll tick), serve a batch, tick the watcher. What callers
-//! may read without it lives in one [`Shared`] behind an `Arc`: the request
+//! may read without it lives in one `Shared` behind an `Arc`: the request
 //! queue and its closed flag, the embedding cache, the ETA head and vector
 //! index slots, and the counters.
 //!
@@ -14,15 +14,15 @@
 //! requests go through the queue. A miss is queued flagged as probed, so the
 //! serve thread does not probe again and every lookup counts exactly one hit
 //! or one miss. Both paths turn an embedding into the call's answer through
-//! the same [`Shared::answer`]. A hit needs no edge check: only embeddings of
+//! the same `Shared::answer`. A hit needs no edge check: only embeddings of
 //! validated paths are inserted, and the stored edge sequence must equal the
 //! probe's.
 //!
 //! # Queue and replies
 //!
-//! Clients push requests onto a [`Queue`] (a `VecDeque` under a `Mutex`,
+//! Clients push requests onto a `Queue` (a `VecDeque` under a `Mutex`,
 //! with a `Condvar` the serve thread parks on) and wait on a per-request
-//! [`Slot`] (one value under a `Mutex` + `Condvar`). A reply slot whose
+//! `Slot` (one value under a `Mutex` + `Condvar`). A reply slot whose
 //! sender is dropped unfilled answers [`ServeError::Closed`]. When the serve
 //! thread exits, normally or by unwinding, the queue is closed and every
 //! request still in it, or pushed later, is dropped — so a call made after
@@ -68,7 +68,7 @@ use std::time::{Duration, Instant, SystemTime};
 
 use wsccl_core::encoder::BatchScratch;
 use wsccl_core::persist::EngineCheckpoint;
-use wsccl_core::TrainedRepresenter;
+use wsccl_core::{PathRepresenter, TrainedRepresenter};
 use wsccl_downstream::index::{Neighbor, VectorIndex};
 use wsccl_downstream::GbRegressor;
 use wsccl_obs::Histogram;
@@ -115,6 +115,9 @@ pub enum ServeError {
     EmptyPath,
     /// The path names an edge the served model's road network does not have.
     UnknownEdge,
+    /// An ETA head or vector index reads vectors of another width than the
+    /// served model's embeddings; it was not installed.
+    WidthMismatch { expected: usize, found: usize },
 }
 
 impl std::fmt::Display for ServeError {
@@ -125,6 +128,9 @@ impl std::fmt::Display for ServeError {
             ServeError::NoIndex => write!(f, "no vector index installed"),
             ServeError::EmptyPath => write!(f, "empty path"),
             ServeError::UnknownEdge => write!(f, "path has an edge outside the road network"),
+            ServeError::WidthMismatch { expected, found } => {
+                write!(f, "reads {found}-wide vectors, the served model embeds {expected}")
+            }
         }
     }
 }
@@ -276,11 +282,11 @@ enum Request {
     },
     SetEtaHead {
         head: GbRegressor,
-        resp: Reply<()>,
+        resp: Reply<Result<(), ServeError>>,
     },
     SetIndex {
         index: Arc<dyn VectorIndex>,
-        resp: Reply<()>,
+        resp: Reply<Result<(), ServeError>>,
     },
     Reload {
         rep: Box<TrainedRepresenter>,
@@ -466,6 +472,18 @@ impl State {
         }
     }
 
+    /// A head or index installed next to the served model must read vectors
+    /// of its width: a narrower one panics the k-NN scan, and a head fitted
+    /// wider indexes past the embedding.
+    fn check_width(&self, found: usize) -> Result<(), ServeError> {
+        let expected = self.model.dim();
+        if found == expected {
+            Ok(())
+        } else {
+            Err(ServeError::WidthMismatch { expected, found })
+        }
+    }
+
     /// Swap the model and clear the cache, both before any reply goes out:
     /// the caller-thread hit path reads only the cache, and every entry
     /// inserted after the clear comes from the new model.
@@ -624,17 +642,21 @@ impl Client {
     }
 
     /// Install (or replace) the ETA regression head. Returns once every
-    /// later call uses it.
+    /// later call uses it. A head fitted on rows of another width than the
+    /// served embeddings is refused with [`ServeError::WidthMismatch`], and
+    /// the installed head stays.
     pub fn set_eta_head(&self, head: GbRegressor) -> Result<(), ServeError> {
-        self.call(|resp| Request::SetEtaHead { head, resp })
+        self.call(|resp| Request::SetEtaHead { head, resp })?
     }
 
     /// Install (or replace) the similarity-search index backing
     /// [`Client::knn`]. The index must be built over embeddings of the model
     /// currently served (ids are the caller's business — typically trip
-    /// indices into the corpus the index was built from).
+    /// indices into the corpus the index was built from). An index of
+    /// another width is refused with [`ServeError::WidthMismatch`], and the
+    /// installed index stays.
     pub fn set_index(&self, index: Arc<dyn VectorIndex>) -> Result<(), ServeError> {
-        self.call(|resp| Request::SetIndex { index, resp })
+        self.call(|resp| Request::SetIndex { index, resp })?
     }
 
     /// Hot-swap the model in-process (the push-style alternative to the
@@ -686,12 +708,11 @@ fn process_batch(st: &mut State, batch: &mut Vec<Request>) -> Option<Reply<Serve
     for req in batch.drain(..) {
         match req {
             Request::SetEtaHead { head, resp } => {
-                store(&sh.eta_head, Arc::new(head));
-                resp.send(());
+                let width = head.num_features().map_or(Ok(()), |w| st.check_width(w));
+                resp.send(width.map(|()| store(&sh.eta_head, Arc::new(head))));
             }
             Request::SetIndex { index, resp } => {
-                store(&sh.index, index);
-                resp.send(());
+                resp.send(st.check_width(index.dim()).map(|()| store(&sh.index, index)));
             }
             Request::Reload { rep, resp } => {
                 st.swap_model(*rep);
@@ -857,21 +878,19 @@ fn try_reload(state: &mut State, path: &FsPathBuf) -> Result<(), String> {
     }
     // Same config does not mean same tensors: a hand-edited or corrupt
     // file can still carry a reshaped or non-finite parameter, which would
-    // panic the serve thread or serve NaN.
+    // panic the serve thread or serve NaN. (`load` already checked that each
+    // tensor's data fills its declared shape.)
     let live = state.model.params();
     if cp.params.len() != live.len() {
         return Err(format!("{} parameters, the live model has {}", cp.params.len(), live.len()));
     }
     for id in live.ids() {
         let (got, want) = (cp.params.value(id), live.value(id));
-        // The length too: a deserialized tensor's data is not checked
-        // against its declared shape.
-        if got.shape() != want.shape() || got.data().len() != want.data().len() {
+        if got.shape() != want.shape() {
             return Err(format!(
-                "parameter {} has shape {:?} ({} values), the live model's is {:?}",
+                "parameter {} has shape {:?}, the live model's is {:?}",
                 live.name(id),
                 got.shape(),
-                got.data().len(),
                 want.shape()
             ));
         }

@@ -423,6 +423,56 @@ fn knn_requests_flow_through_installed_index() {
     assert_eq!(stats.knn_served, 1, "only the post-install search counts");
 }
 
+#[test]
+fn head_or_index_of_another_width_is_refused_and_serving_continues() {
+    let (ds, model, _enc) = setup(16, 1);
+    let rep = model.into_representer("WSCCL");
+    let (head, index) = (fit_head(&rep, &ds, 1.0), index_over(&rep, &ds, 0));
+    let dim = index.dim();
+    // The same trips one column wider: an index and a head of width dim + 1.
+    let wide: Vec<Vec<f64>> = ds
+        .tte
+        .iter()
+        .take(64)
+        .map(|e| {
+            let mut row = rep.embed(&e.path, e.departure);
+            row.push(1.0);
+            row
+        })
+        .collect();
+    let wide_f32: Vec<Vec<f32>> = wide.iter().take(32).map(|r| to_f32(r)).collect();
+    let ids: Vec<u64> = (0..wide_f32.len() as u64).collect();
+    let wide_index = Arc::new(ExactIndex::build(dim + 1, &ids, &wide_f32));
+    let y: Vec<f64> = ds.tte.iter().take(64).map(|e| e.travel_time).collect();
+    let wide_head =
+        EtaRegression { gb: GbConfig { n_trees: 10, ..GbConfig::default() } }.fit(&wide, &y);
+
+    let server = Server::spawn(rep, ServeConfig::default());
+    let client = server.client();
+    client.set_eta_head(head.clone()).unwrap();
+    client.set_index(Arc::clone(&index) as Arc<dyn VectorIndex>).unwrap();
+    let mismatch = Err(ServeError::WidthMismatch { expected: dim, found: dim + 1 });
+    assert_eq!(client.set_index(wide_index), mismatch);
+    assert_eq!(client.set_eta_head(wide_head), mismatch);
+
+    // Both a miss (served on the serve thread) and a hit (on this thread)
+    // still answer from what was installed before.
+    for probe in &ds.unlabeled[..2] {
+        let (path, dep) = (&probe.path, probe.departure);
+        for _ in 0..2 {
+            let emb = client.embed(path, dep).expect("embed");
+            assert_eq!(client.eta(path, dep), Ok(head.predict(&emb)));
+            assert_eq!(client.knn(path, dep, 3).expect("knn"), index.knn(&to_f32(&emb), 3));
+        }
+    }
+    // A head without trees has no width and predicts its base value.
+    let flat = EtaRegression { gb: GbConfig { n_trees: 0, ..GbConfig::default() } }.fit(&wide, &y);
+    assert_eq!(flat.num_features(), None);
+    client.set_eta_head(flat).expect("a treeless head fits any width");
+    let stats = server.shutdown();
+    assert_eq!(stats.knn_served, 4);
+}
+
 /// Run `call` on a helper thread and wait at most `secs` for its answer, so
 /// a call that never returns fails the test instead of hanging it.
 fn within<T: Send + 'static>(secs: u64, call: impl FnOnce() -> T + Send + 'static) -> T {

@@ -1,7 +1,6 @@
-//! The generic optimization driver: shard-parallel steps, fixed shard-order
-//! reduction, schedules, clipping, and observer dispatch.
+//! The generic optimization loop: one tape per step, schedules, clipping,
+//! and observer dispatch.
 
-use std::sync::mpsc;
 use std::time::Instant;
 
 use rand::rngs::StdRng;
@@ -15,29 +14,27 @@ use wsccl_obs::{AnomalyGuard, AnomalyKind, Counter, Gauge, Histogram, TapeProfil
 use crate::checkpoint::TrainerState;
 use crate::observe::{EpochRecord, StepRecord, TrainObserver};
 use crate::spec::{OptimizerKind, TrainSpec};
-use crate::worker::WorkerPool;
 
 /// A model the engine can train. Implementations own everything the loss
 /// needs except the parameter values, which the driver passes in so it can
-/// hand them read-only to shard workers and mutably to the optimizer.
+/// hand them read-only to the tape and mutably to the optimizer.
 ///
 /// Determinism contract: `epoch_batches` and `build_loss` must derive all
-/// randomness from the RNG they are given (epoch RNG and per-shard RNG
+/// randomness from the RNG they are given (epoch RNG and per-step RNG
 /// respectively) — never from ambient state — so a fixed [`TrainSpec::seed`]
-/// fixes the whole trajectory regardless of thread count.
+/// fixes the whole trajectory.
 pub trait Trainable {
-    /// One unit of work for one optimizer step. Shard workers read batches
-    /// concurrently, hence `Sync`.
-    type Batch: Sync;
+    /// One unit of work for one optimizer step.
+    type Batch;
 
     /// The (ordered) batch list for one epoch. `epoch` is the global epoch
     /// counter, which keeps counting across multiple `run` calls on the same
     /// trainer (curriculum stages, resumed runs).
     fn epoch_batches(&mut self, epoch: u64, rng: &mut StdRng) -> Vec<Self::Batch>;
 
-    /// Build one shard's loss node on the tape, drawing any in-step sampling
-    /// from `rng` (seeded per shard by the driver). Returning `None` skips
-    /// the shard (e.g. a batch with no usable contrastive structure).
+    /// Build the step's loss node on the tape, drawing any in-step sampling
+    /// from `rng` (seeded per step by the trainer). Returning `None` skips
+    /// the step (e.g. a batch with no usable contrastive structure).
     fn build_loss(
         &self,
         g: &mut Graph<'_>,
@@ -84,58 +81,15 @@ impl Optimizer {
 /// What one applied optimizer step produced.
 #[derive(Clone, Debug)]
 pub struct StepOutcome {
-    /// Mean loss over the shards that contributed.
+    /// The step's loss.
     pub loss: f64,
-    /// L2 norm of the reduced (averaged) gradient before clipping.
+    /// L2 norm of the gradient before clipping.
     pub grad_norm: f64,
     /// Learning rate applied at this step.
     pub lr: f64,
-    /// Tracked loss terms, averaged over contributing shards in ascending
-    /// shard order (empty when the model tracks nothing).
+    /// Tracked loss terms in recording order (empty when the model tracks
+    /// nothing).
     pub terms: Vec<(&'static str, f64)>,
-    /// Wall time per shard in milliseconds, indexed by shard.
-    pub shard_ms: Vec<f64>,
-}
-
-/// What one shard's tape produced: loss value, parameter gradients, and any
-/// scalars the loss builder tracked.
-type ShardResult = Option<(f64, GradStore, Vec<(&'static str, f64)>)>;
-
-/// Execute one shard: fresh tape (pooled when a pool is supplied), build the
-/// loss, backprop. Identical math with and without a pool or profiler.
-/// Returns the result plus the shard's wall time in milliseconds.
-fn run_shard<T: Trainable>(
-    model: &T,
-    params: &Parameters,
-    batch: &T::Batch,
-    seed: u64,
-    mut pool: Option<&mut TensorPool>,
-    profiler: Option<&mut TapeProfiler>,
-) -> (ShardResult, f64) {
-    let start = Instant::now();
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut g = match pool.as_deref_mut() {
-        Some(p) => Graph::new_in(params, p),
-        None => Graph::new(params),
-    };
-    if let Some(pr) = profiler {
-        g.set_profiler(pr);
-    }
-    let Some(loss) = model.build_loss(&mut g, batch, &mut rng) else {
-        return (None, start.elapsed().as_secs_f64() * 1000.0);
-    };
-    let terms = g.take_tracked();
-    let (value, grads) = g.finish(loss);
-    let elapsed_ms = start.elapsed().as_secs_f64() * 1000.0;
-    if value.is_finite() {
-        (Some((value, grads, terms)), elapsed_ms)
-    } else {
-        // Skipped shard: still hand the gradient buffers home.
-        if let Some(p) = pool.as_deref_mut() {
-            grads.release_into(p);
-        }
-        (None, elapsed_ms)
-    }
 }
 
 /// Name the first parameter whose gradient holds a non-finite element, for
@@ -148,7 +102,7 @@ fn non_finite_grad_context(params: &Parameters, grads: &GradStore) -> String {
             }
         }
     }
-    "no single offending parameter (non-finite arose in reduction)".to_string()
+    "no single offending parameter (non-finite arose in the norm)".to_string()
 }
 
 /// Cached handles into the global metrics registry ([`wsccl_obs::global`]).
@@ -187,18 +141,14 @@ pub struct Trainer {
     rng: StdRng,
     step: u64,
     epoch: u64,
-    /// One buffer pool per shard (lazily sized). Shard `s` always draws from
-    /// `pools[s]`, whichever worker runs it, and the driver returns reduced
-    /// gradient buffers to the same pools — so after one warmup epoch the
-    /// step loop allocates no tensors. Pure execution state: not part of
-    /// [`TrainerState`].
-    pools: Vec<TensorPool>,
-    /// Persistent shard workers, started on the first `threads > 1` step.
-    /// Replaces the old spawn-per-step scoped threads (see DESIGN.md §8).
-    workers: Option<WorkerPool>,
-    /// Per-shard tape profilers, populated when profiling is enabled. Like
-    /// `pools`, pure execution state: shard `s` always writes `profilers[s]`.
-    profilers: Vec<TapeProfiler>,
+    /// Every tape draws its buffers from this pool, and the step returns the
+    /// gradient buffers to it once the optimizer has applied them — so after
+    /// one warmup epoch the step loop allocates no tensors. Pure execution
+    /// state: not part of [`TrainerState`].
+    pool: TensorPool,
+    /// Per-op tape timings, recorded while `profiling` is on. Like `pool`,
+    /// pure execution state.
+    profiler: TapeProfiler,
     profiling: bool,
     /// Optional numeric anomaly guard watching losses and gradients.
     guard: Option<AnomalyGuard>,
@@ -221,9 +171,8 @@ impl Trainer {
             rng,
             step: 0,
             epoch: 0,
-            pools: Vec::new(),
-            workers: None,
-            profilers: Vec::new(),
+            pool: TensorPool::new(),
+            profiler: TapeProfiler::new(),
             profiling: false,
             guard: None,
             metrics: EngineMetrics::new(),
@@ -272,27 +221,19 @@ impl Trainer {
             rng: StdRng::from_state(state.rng),
             step: state.step,
             epoch: state.epoch,
-            pools: Vec::new(),
-            workers: None,
-            profilers: Vec::new(),
+            pool: TensorPool::new(),
+            profiler: TapeProfiler::new(),
             profiling: false,
             guard: None,
             metrics: EngineMetrics::new(),
         }
     }
 
-    /// Combined allocation counters over all shard pools — the hook the
+    /// Allocation counters of the tape pool — the hook the
     /// allocation-counting tests and kernel benchmarks use to assert the
     /// zero-allocs-per-step contract.
     pub fn pool_stats(&self) -> wsccl_nn::PoolStats {
-        let mut total = wsccl_nn::PoolStats::default();
-        for p in &self.pools {
-            let s = p.stats();
-            total.fresh_allocs += s.fresh_allocs;
-            total.reuses += s.reuses;
-            total.peak_live += s.peak_live;
-        }
-        total
+        self.pool.stats()
     }
 
     /// Start recording per-op tape timings for every subsequent step. Pure
@@ -305,20 +246,14 @@ impl Trainer {
         self.profiling
     }
 
-    /// Merged per-op forward/backward timings across all shard profilers.
+    /// Per-op forward/backward timings recorded so far.
     pub fn profile(&self) -> TapeProfile {
-        let mut merged = TapeProfiler::new();
-        for p in &self.profilers {
-            merged.merge(p);
-        }
-        merged.snapshot()
+        self.profiler.snapshot()
     }
 
     /// Zero the accumulated per-op timings (e.g. after a warmup window).
     pub fn reset_profile(&mut self) {
-        for p in &mut self.profilers {
-            p.clear();
-        }
+        self.profiler.clear();
     }
 
     /// Attach a numeric anomaly guard. Under `Record`/`Warn` policies the
@@ -335,189 +270,77 @@ impl Trainer {
         self.guard.take()
     }
 
-    /// One optimizer step over `spec.shards` data-parallel shards. Shard
-    /// seeds are drawn upfront in shard order from the engine RNG; shard
-    /// gradients are reduced in ascending shard index; the averaged gradient
-    /// is clipped and applied once. Returns `None` (after still advancing
-    /// RNG and step counter) when every shard was skipped.
-    pub fn step<T: Trainable + Sync>(
+    /// One optimizer step: one tape over `batch`, built on the calling
+    /// thread from the trainer's pool. The tape's sampling RNG is seeded by
+    /// one draw from the engine RNG; the gradient is clipped and applied
+    /// once. Returns `None` (after still advancing RNG and step counter) when
+    /// the model skipped the batch or its loss came out non-finite.
+    pub fn step<T: Trainable>(
         &mut self,
         model: &mut T,
         params: &mut Parameters,
         batch: &T::Batch,
     ) -> Option<StepOutcome> {
         let step_start = Instant::now();
-        let shards = self.spec.shards.max(1);
-        let seeds: Vec<u64> = (0..shards).map(|_| self.rng.random()).collect();
-        let threads = self.spec.threads.max(1).min(shards);
-        let pooling = self.spec.pool_buffers;
-        let profiling = self.profiling;
+        let seed: u64 = self.rng.random();
         let step_index = self.step;
         self.step += 1;
-
-        if pooling && self.pools.len() < shards {
-            self.pools.resize_with(shards, TensorPool::new);
-        }
-        if profiling && self.profilers.len() < shards {
-            self.profilers.resize_with(shards, TapeProfiler::new);
-        }
-
-        let mut shard_ms = vec![0.0f64; shards];
-        let results: Vec<ShardResult> = if threads == 1 {
-            let shared: &T = model;
-            let pools = &mut self.pools;
-            let profilers = &mut self.profilers;
-            seeds
-                .iter()
-                .enumerate()
-                .map(|(s, &seed)| {
-                    let pool = if pooling { pools.get_mut(s) } else { None };
-                    let prof = if profiling { profilers.get_mut(s) } else { None };
-                    let (r, ms) = run_shard(shared, params, batch, seed, pool, prof);
-                    shard_ms[s] = ms;
-                    r
-                })
-                .collect()
-        } else {
-            let workers = match &mut self.workers {
-                Some(w) if w.len() >= threads => w,
-                slot => {
-                    // First parallel step (or thread count grew): start the
-                    // persistent workers. They outlive this step.
-                    *slot = Some(WorkerPool::new(threads));
-                    slot.as_mut().unwrap()
-                }
-            };
-            let shared: &T = model;
-            let params: &Parameters = params;
-            // Hand each worker its fixed shard partition t, t+threads, …
-            // together with exclusive &mut access to those shards' pools
-            // and profilers.
-            let mut pool_slots: Vec<Option<&mut TensorPool>> = if pooling {
-                self.pools.iter_mut().take(shards).map(Some).collect()
-            } else {
-                (0..shards).map(|_| None).collect()
-            };
-            let mut prof_slots: Vec<Option<&mut TapeProfiler>> = if profiling {
-                self.profilers.iter_mut().take(shards).map(Some).collect()
-            } else {
-                (0..shards).map(|_| None).collect()
-            };
-            let (res_tx, res_rx) = mpsc::channel::<(usize, ShardResult, f64)>();
-            let mut jobs: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::with_capacity(threads);
-            for t in 0..threads {
-                let mut my_shards: Vec<(
-                    usize,
-                    u64,
-                    Option<&mut TensorPool>,
-                    Option<&mut TapeProfiler>,
-                )> = (t..shards)
-                    .step_by(threads)
-                    .map(|s| (s, seeds[s], pool_slots[s].take(), prof_slots[s].take()))
-                    .collect();
-                let tx = res_tx.clone();
-                jobs.push(Box::new(move || {
-                    for (s, seed, pool, prof) in my_shards.iter_mut() {
-                        let (r, ms) = run_shard(
-                            shared,
-                            params,
-                            batch,
-                            *seed,
-                            pool.as_deref_mut(),
-                            prof.as_deref_mut(),
-                        );
-                        let _ = tx.send((*s, r, ms));
-                    }
-                }));
-            }
-            drop(res_tx);
-            workers.scoped_run(jobs);
-            let mut results: Vec<ShardResult> = (0..shards).map(|_| None).collect();
-            for (s, r, ms) in res_rx.try_iter() {
-                results[s] = r;
-                shard_ms[s] = ms;
-            }
-            results
-        };
-
-        // Reduce in ascending shard order, average, clip, one optimizer step.
-        // With pooling, every shard-store buffer either moves into `total` or
-        // goes straight back to its shard's pool; `total`'s own buffers are
-        // released after the optimizer applies them.
-        let mut total = GradStore::new();
-        let mut loss_sum = 0.0;
-        let mut used = 0usize;
-        let mut terms: Vec<(&'static str, f64)> = Vec::new();
-        let mut term_counts: Vec<u32> = Vec::new();
-        for (s, result) in results.into_iter().enumerate() {
-            let Some((value, grads, shard_terms)) = result else { continue };
-            if pooling {
-                total.accumulate_pooled(grads, &mut self.pools[s]);
-            } else {
-                total.accumulate(&grads);
-            }
-            // Sum tracked terms in ascending shard order (deterministic).
-            for (name, v) in shard_terms {
-                match terms.iter().position(|(n, _)| *n == name) {
-                    Some(i) => {
-                        terms[i].1 += v;
-                        term_counts[i] += 1;
-                    }
-                    None => {
-                        terms.push((name, v));
-                        term_counts.push(1);
-                    }
-                }
-            }
-            loss_sum += value;
-            used += 1;
-        }
         self.metrics.steps.inc();
-        if used == 0 {
-            self.metrics.skipped_steps.inc();
-            self.metrics.step_ms.record(step_start.elapsed().as_secs_f64() * 1000.0);
-            if let Some(guard) = self.guard.as_mut() {
-                // Every shard's loss came out non-finite (or no shard ran).
-                guard.observe_loss(step_index, f64::NAN);
-            }
-            return None;
+
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut g = Graph::new_in(params, &mut self.pool);
+        if self.profiling {
+            g.set_profiler(&mut self.profiler);
         }
-        for ((_, v), n) in terms.iter_mut().zip(&term_counts) {
-            *v /= f64::from(*n);
+        let Some(loss_node) = model.build_loss(&mut g, batch, &mut rng) else {
+            drop(g);
+            return self.skip(step_index, step_start);
+        };
+        let terms = g.take_tracked();
+        let (loss, mut grads) = g.finish(loss_node);
+        if !loss.is_finite() {
+            grads.release_into(&mut self.pool);
+            return self.skip(step_index, step_start);
         }
-        total.scale(1.0 / used as f64);
-        let grad_norm = total.norm();
-        let loss = loss_sum / used as f64;
+        let grad_norm = grads.norm();
         if let Some(guard) = self.guard.as_mut() {
             guard.observe_loss(step_index, loss);
             if !grad_norm.is_finite() {
-                let context = non_finite_grad_context(params, &total);
+                let context = non_finite_grad_context(params, &grads);
                 guard.report(step_index, AnomalyKind::NonFiniteGradient, grad_norm, context);
             }
         }
         if let Some(clip) = self.spec.grad_clip {
             if grad_norm > clip && grad_norm > 0.0 {
-                total.scale(clip / grad_norm);
+                grads.scale(clip / grad_norm);
             }
         }
         let lr = self.spec.lr * self.spec.schedule.factor(step_index);
         self.optimizer.set_lr(lr);
-        self.optimizer.step(params, &total);
-        if pooling {
-            total.release_into(&mut self.pools[0]);
-        }
+        self.optimizer.step(params, &grads);
+        grads.release_into(&mut self.pool);
         model.after_step(params, batch);
         self.metrics.loss.set(loss);
         self.metrics.grad_norm.set(grad_norm);
         self.metrics.lr.set(lr);
         self.metrics.step_ms.record(step_start.elapsed().as_secs_f64() * 1000.0);
-        Some(StepOutcome { loss, grad_norm, lr, terms, shard_ms })
+        Some(StepOutcome { loss, grad_norm, lr, terms })
+    }
+
+    /// Book a step that applied no update.
+    fn skip(&mut self, step_index: u64, step_start: Instant) -> Option<StepOutcome> {
+        self.metrics.skipped_steps.inc();
+        self.metrics.step_ms.record(step_start.elapsed().as_secs_f64() * 1000.0);
+        if let Some(guard) = self.guard.as_mut() {
+            guard.observe_loss(step_index, f64::NAN);
+        }
+        None
     }
 
     /// Train for `epochs` epochs, returning the mean loss per epoch. Fires
     /// `observer.on_step` exactly once per batch and `on_epoch` once per
     /// epoch.
-    pub fn run<T: Trainable + Sync>(
+    pub fn run<T: Trainable>(
         &mut self,
         model: &mut T,
         params: &mut Parameters,
@@ -535,13 +358,13 @@ impl Trainer {
                 let step = self.step;
                 let step_start = Instant::now();
                 let outcome = self.step(model, params, batch);
-                let (loss, grad_norm, lr, terms, shard_ms) = match outcome {
+                let (loss, grad_norm, lr, terms) = match outcome {
                     Some(o) => {
                         loss_sum += o.loss;
                         applied += 1;
-                        (o.loss, o.grad_norm, o.lr, o.terms, o.shard_ms)
+                        (o.loss, o.grad_norm, o.lr, o.terms)
                     }
-                    None => (f64::NAN, 0.0, 0.0, Vec::new(), Vec::new()),
+                    None => (f64::NAN, 0.0, 0.0, Vec::new()),
                 };
                 observer.on_step(&StepRecord {
                     epoch,
@@ -551,7 +374,6 @@ impl Trainer {
                     lr,
                     elapsed: step_start.elapsed(),
                     terms,
-                    shard_ms,
                 });
             }
             let mean_loss = if applied > 0 { loss_sum / applied as f64 } else { f64::NAN };
@@ -576,7 +398,7 @@ mod tests {
     use wsccl_nn::Tensor;
 
     /// Minimal trainable: minimize ‖w − target‖² where the per-step target is
-    /// drawn from the shard RNG (exercising both RNG channels).
+    /// drawn from the step RNG (exercising both RNG channels).
     struct Quadratic {
         w: wsccl_nn::ParamId,
         noisy: bool,
@@ -634,33 +456,6 @@ mod tests {
     }
 
     #[test]
-    fn thread_count_is_invisible_to_training() {
-        let run = |threads: usize| {
-            let (mut params, mut model) = setup();
-            let spec = TrainSpec { shards: 4, threads, ..TrainSpec::adam(0.05, 2, 9) };
-            let mut trainer = Trainer::new(spec);
-            let hist = trainer.run(&mut model, &mut params, 2, &mut NoopObserver);
-            (hist, params.value(model.w).item())
-        };
-        assert_eq!(run(1), run(3));
-    }
-
-    #[test]
-    fn pooling_is_invisible_to_training() {
-        // Same seed with and without buffer recycling → bit-identical losses
-        // and final parameters (the pool's determinism contract).
-        let run = |pool_buffers: bool| {
-            let (mut params, mut model) = setup();
-            let spec = TrainSpec { shards: 2, pool_buffers, ..TrainSpec::adam(0.05, 3, 11) };
-            let mut trainer = Trainer::new(spec);
-            let hist = trainer.run(&mut model, &mut params, 3, &mut NoopObserver);
-            let bits: Vec<u64> = hist.iter().map(|l| l.to_bits()).collect();
-            (bits, params.value(model.w).item().to_bits())
-        };
-        assert_eq!(run(true), run(false));
-    }
-
-    #[test]
     fn steady_state_steps_allocate_no_tensors() {
         let (mut params, mut model) = setup();
         let mut trainer = Trainer::new(TrainSpec::adam(0.05, 8, 5));
@@ -672,26 +467,6 @@ mod tests {
         let after = trainer.pool_stats();
         assert_eq!(after.fresh_allocs, warm, "steady-state steps must not heap-allocate tensors");
         assert!(after.reuses > 0);
-    }
-
-    #[test]
-    fn persistent_workers_survive_across_steps() {
-        // Multi-thread training over many steps exercises worker reuse; the
-        // trajectory must match the serial one and the pool books must
-        // balance (every buffer handed to a worker comes back to the driver).
-        let serial = {
-            let (mut params, mut model) = setup();
-            let spec = TrainSpec { shards: 3, threads: 1, ..TrainSpec::adam(0.05, 4, 13) };
-            let mut t = Trainer::new(spec);
-            let hist = t.run(&mut model, &mut params, 4, &mut NoopObserver);
-            (hist, params.value(model.w).item().to_bits())
-        };
-        let (mut params, mut model) = setup();
-        let spec = TrainSpec { shards: 3, threads: 2, ..TrainSpec::adam(0.05, 4, 13) };
-        let mut t = Trainer::new(spec);
-        let hist = t.run(&mut model, &mut params, 4, &mut NoopObserver);
-        assert_eq!(serial, (hist, params.value(model.w).item().to_bits()));
-        assert!(t.pool_stats().reuses > 0);
     }
 
     #[test]
@@ -723,8 +498,7 @@ mod tests {
         // off: bit-identical losses and final parameters.
         let run = |observed: bool| {
             let (mut params, mut model) = setup();
-            let spec = TrainSpec { shards: 2, ..TrainSpec::adam(0.05, 3, 21) };
-            let mut trainer = Trainer::new(spec);
+            let mut trainer = Trainer::new(TrainSpec::adam(0.05, 3, 21));
             if observed {
                 trainer.enable_profiling();
                 trainer.set_anomaly_guard(AnomalyGuard::new(wsccl_obs::AnomalyPolicy::Record));
@@ -743,7 +517,7 @@ mod tests {
     }
 
     #[test]
-    fn tracked_terms_are_averaged_across_shards() {
+    fn step_terms_are_the_tapes_tracked_scalars() {
         struct Tracked {
             w: wsccl_nn::ParamId,
         }
@@ -772,17 +546,23 @@ mod tests {
         let mut params = Parameters::new();
         let w = params.register("w", Tensor::scalar(1.0));
         let mut model = Tracked { w };
-        let mut trainer = Trainer::new(TrainSpec { shards: 3, ..TrainSpec::adam(0.01, 1, 4) });
+        let mut trainer = Trainer::new(TrainSpec::adam(0.01, 1, 4));
+        // Replay the step's tape by hand: the engine seeds it with the first
+        // draw from its (salted) RNG.
+        let mut engine_rng = StdRng::seed_from_u64(4 ^ Trainer::SEED_SALT);
+        let mut rng = StdRng::seed_from_u64(engine_rng.random());
+        let mut g = Graph::new(&params);
+        model.build_loss(&mut g, &0, &mut rng).expect("loss builds");
+        let tracked = g.take_tracked();
+        drop(g);
+
         let outcome = trainer.step(&mut model, &mut params, &0).expect("step applies");
-        assert_eq!(outcome.terms.len(), 2);
-        assert_eq!(outcome.terms[0].0, "loss/sq");
-        assert_eq!(outcome.terms[1].0, "loss/scaled");
-        // The mean of the scaled term over shards is half the mean sq term,
-        // and the scaled term *is* the loss.
-        assert!((outcome.terms[1].1 - outcome.terms[0].1 * 0.5).abs() < 1e-12);
+        let names: Vec<&str> = outcome.terms.iter().map(|t| t.0).collect();
+        assert_eq!(names, ["loss/sq", "loss/scaled"]);
+        let bits = |terms: &[(&str, f64)]| terms.iter().map(|t| t.1.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&outcome.terms), bits(&tracked));
+        // The scaled term *is* the loss.
         assert_eq!(outcome.terms[1].1.to_bits(), outcome.loss.to_bits());
-        assert_eq!(outcome.shard_ms.len(), 3);
-        assert!(outcome.shard_ms.iter().all(|&ms| ms >= 0.0));
     }
 
     #[test]

@@ -23,8 +23,8 @@ pub fn run_log_path(name: &str) -> PathBuf {
     PathBuf::from("results").join("runs").join(format!("{name}.jsonl"))
 }
 
-/// One optimizer step. `record` is always `"step"`; a skipped step (every
-/// shard's loss non-finite) carries `loss: null`, which parses back as NaN.
+/// One optimizer step. `record` is always `"step"`; a skipped step (no loss,
+/// or a non-finite one) carries `loss: null`, which parses back as NaN.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct StepLine {
     pub record: String,
@@ -37,10 +37,8 @@ pub struct StepLine {
     pub lr: f64,
     /// Driver-side wall time for the whole step, milliseconds.
     pub ms: f64,
-    /// Tracked loss terms, shard-averaged: `[name, value]` pairs.
+    /// Tracked loss terms: `[name, value]` pairs.
     pub terms: Vec<(String, f64)>,
-    /// Per-shard wall time in milliseconds, indexed by shard.
-    pub shard_ms: Vec<f64>,
 }
 
 /// One epoch summary (`record == "epoch"`).
@@ -179,7 +177,6 @@ impl<W: Write> TrainObserver for JsonlObserver<W> {
             lr: r.lr,
             ms: r.elapsed.as_secs_f64() * 1000.0,
             terms: r.terms.iter().map(|&(n, v)| (n.to_string(), v)).collect(),
-            shard_ms: r.shard_ms.clone(),
         };
         self.write_line(&line);
         if self.metrics_every > 0 && r.step % self.metrics_every == 0 {
@@ -217,7 +214,6 @@ mod tests {
             lr: 1e-3,
             elapsed: Duration::from_micros(1500),
             terms: vec![("loss/global", -0.25), ("loss/local", -0.75)],
-            shard_ms: vec![0.7, 0.8],
         }
     }
 
@@ -245,7 +241,10 @@ mod tests {
         assert_eq!(s0.phase, "pretrain");
         assert_eq!(s0.loss.to_bits(), (-0.5f64).to_bits());
         assert_eq!(s0.terms, vec![("loss/global".into(), -0.25), ("loss/local".into(), -0.75)]);
-        assert_eq!(s0.shard_ms, vec![0.7, 0.8]);
+        // Logs written while steps carried per-shard timings still parse.
+        let old = format!("{},\"shard_ms\":[0.7,0.8]}}", lines[1].strip_suffix('}').unwrap());
+        let s0_old: StepLine = serde_json::from_str(&old).unwrap();
+        assert_eq!((s0_old.step, s0_old.loss.to_bits()), (s0.step, s0.loss.to_bits()));
 
         // Skipped step: NaN loss becomes null and parses back as NaN.
         let s1: StepLine = serde_json::from_str(lines[2]).unwrap();

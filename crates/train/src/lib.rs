@@ -7,21 +7,19 @@
 //!
 //! * [`Trainable`] — a model exposes its epoch batch list (deterministic from
 //!   the engine RNG) and builds one step's loss node on a fresh tape.
-//! * [`TrainSpec`] — epochs, optimizer choice, LR schedule, gradient clipping,
-//!   seed, and the `shards`/`threads` data-parallel knobs.
-//! * [`Trainer`] — the stateful driver: shard-parallel steps with fixed
-//!   shard-order reduction (bit-for-bit identical across thread counts),
-//!   a step/epoch counter, and the engine RNG. Its full state round-trips
-//!   through [`TrainerState`], so a resumed run provably matches an
-//!   uninterrupted one.
+//! * [`TrainSpec`] — epochs, optimizer choice, LR schedule, gradient clipping
+//!   and seed.
+//! * [`Trainer`] — the stateful trainer: one tape per step on the calling
+//!   thread, drawing its buffers from one recycled pool, a step/epoch
+//!   counter, and the engine RNG. Its full state round-trips through
+//!   [`TrainerState`], so a resumed run provably matches an uninterrupted
+//!   one.
 //! * [`TrainObserver`] — per-step / per-epoch hooks carrying loss, gradient
 //!   norm, learning rate, and elapsed time.
 //!
 //! Determinism rules: every stochastic choice is drawn either from the engine
-//! RNG (epoch shuffles, per-step shard seeds — always on the driver thread,
-//! in a fixed order) or from a per-shard RNG seeded by a driver-drawn seed
-//! (in-step sampling). Thread scheduling can therefore never influence the
-//! math.
+//! RNG (epoch shuffles, one seed per step, in a fixed order) or from the
+//! step's RNG seeded by that draw (in-step sampling).
 
 pub mod checkpoint;
 pub mod engine;
@@ -29,7 +27,6 @@ pub mod jsonl;
 pub mod observe;
 pub mod replay;
 pub mod spec;
-pub mod worker;
 
 pub use checkpoint::TrainerState;
 pub use engine::{Optimizer, StepOutcome, Trainable, Trainer};
@@ -39,4 +36,3 @@ pub use jsonl::{
 pub use observe::{EpochRecord, LossCurve, NoopObserver, StepRecord, TrainObserver};
 pub use replay::ReplayBuffer;
 pub use spec::{LrSchedule, OptimizerKind, TrainSpec};
-pub use worker::WorkerPool;

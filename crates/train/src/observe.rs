@@ -11,25 +11,22 @@ pub struct StepRecord {
     pub epoch: u64,
     /// Global step counter (attempted steps, across all epochs).
     pub step: u64,
-    /// Mean shard loss, or NaN when every shard was skipped and no optimizer
+    /// The step's loss, or NaN when the step was skipped and no optimizer
     /// step was applied.
     pub loss: f64,
-    /// L2 norm of the reduced gradient before clipping (0 for skipped steps).
+    /// L2 norm of the gradient before clipping (0 for skipped steps).
     pub grad_norm: f64,
     /// Learning rate actually applied (base rate × schedule factor).
     pub lr: f64,
     pub elapsed: Duration,
     /// Named loss terms the loss builder exposed via
-    /// `Graph::track_scalar`, averaged over contributing shards in ascending
-    /// shard order (empty when the model tracks nothing).
+    /// `Graph::track_scalar`, in recording order (empty when the model tracks
+    /// nothing or the step was skipped).
     pub terms: Vec<(&'static str, f64)>,
-    /// Wall time per shard in milliseconds, indexed by shard (includes
-    /// skipped shards — they still ran their tape).
-    pub shard_ms: Vec<f64>,
 }
 
 impl StepRecord {
-    /// Whether an optimizer step was applied (at least one shard succeeded).
+    /// Whether an optimizer step was applied.
     pub fn applied(&self) -> bool {
         self.loss.is_finite()
     }

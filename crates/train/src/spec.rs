@@ -1,5 +1,5 @@
-//! Training specification: optimizer choice, learning-rate schedule, and the
-//! data-parallel knobs shared by every model in the workspace.
+//! Training specification: optimizer choice, learning-rate schedule,
+//! clipping and seed, shared by every model in the workspace.
 
 use serde::{Deserialize, Serialize};
 
@@ -55,31 +55,15 @@ pub struct TrainSpec {
     /// Base learning rate (scaled per step by `schedule`).
     pub lr: f64,
     pub schedule: LrSchedule,
-    /// Clip the reduced gradient to this L2 norm; `None` disables clipping.
+    /// Clip the gradient to this L2 norm; `None` disables clipping.
     pub grad_clip: Option<f64>,
-    /// Seed for the engine RNG (epoch shuffles and per-step shard seeds).
+    /// Seed for the engine RNG (epoch shuffles and per-step seeds).
     pub seed: u64,
-    /// Number of independent data-parallel sub-batches per step. Part of the
-    /// math: each shard sees its own sampled sub-batch.
-    pub shards: usize,
-    /// Worker threads executing the shards. Execution knob only — any value
-    /// yields bit-for-bit identical training.
-    pub threads: usize,
-    /// Recycle tape buffers through per-shard [`wsccl_nn::TensorPool`]s so
-    /// steady-state steps allocate no tensors. Execution knob only — pooled
-    /// and unpooled runs are bit-for-bit identical (defaults to `true`;
-    /// absent in pre-pool checkpoints, hence the serde default).
-    #[serde(default = "default_pool_buffers")]
-    pub pool_buffers: bool,
-}
-
-fn default_pool_buffers() -> bool {
-    true
 }
 
 impl TrainSpec {
-    /// A single-shard Adam spec with constant LR and no clipping — the shape
-    /// every baseline used before the engine existed.
+    /// An Adam spec with constant LR and no clipping — the shape every
+    /// baseline used before the engine existed.
     pub fn adam(lr: f64, epochs: usize, seed: u64) -> Self {
         Self {
             epochs,
@@ -88,9 +72,6 @@ impl TrainSpec {
             schedule: LrSchedule::Constant,
             grad_clip: None,
             seed,
-            shards: 1,
-            threads: 1,
-            pool_buffers: true,
         }
     }
 

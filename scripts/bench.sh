@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Record serial-vs-parallel timings for data-parallel WSC training and
-# lock-free batched inference, plus pooled-vs-unpooled kernel timings.
-# Writes BENCH_parallel.json and BENCH_kernels.json at the repo root.
+# Record serial-vs-parallel timings for lock-free batched inference, plus
+# train-step, kernel and f32 embed timings and the per-op tape profile.
+# Writes BENCH_parallel.json, BENCH_kernels.json and results/profile.json
+# at the repo root.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

@@ -51,7 +51,7 @@ fn bits(v: &[f64]) -> Vec<u64> {
 fn full_observability_is_bit_invisible_for_wsccl() {
     let _guard = registry_lock();
     let (ds, enc) = dataset();
-    let cfg = WscclConfig { shards: 2, ..WscclConfig::tiny() };
+    let cfg = WscclConfig::tiny();
 
     // Bare run: registry off, no profiling, no guard, no observer.
     wsccl_obs::global().set_enabled(false);
@@ -155,7 +155,7 @@ fn full_observability_is_bit_invisible_for_pim_lstm_baseline() {
 fn golden_trace_run_log_is_schema_valid() {
     let _guard = registry_lock();
     let (ds, _) = dataset();
-    let cfg = WscclConfig { shards: 2, ..WscclConfig::tiny() };
+    let cfg = WscclConfig::tiny();
 
     wsccl_obs::global().reset();
     wsccl_obs::global().set_enabled(true);
@@ -202,7 +202,6 @@ fn golden_trace_run_log_is_schema_valid() {
                     assert!(names.contains(&"wsc/global"), "line {i}: missing wsc/global term");
                     assert!(names.contains(&"wsc/local"), "line {i}: missing wsc/local term");
                 }
-                assert_eq!(s.shard_ms.len(), 2, "line {i}: expected one timing per shard");
                 assert!(s.ms >= 0.0, "line {i}: negative step time");
                 assert!(!s.phase.is_empty(), "line {i}: step outside any phase");
                 continue;
